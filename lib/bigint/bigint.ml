@@ -635,9 +635,34 @@ module Mont = struct
   let to_mont ctx a = mont_mul ctx (pad ctx a) ctx.r2
   let from_mont ctx a = Mag.normalize (mont_mul ctx a ctx.one_p)
 
-  (* Fixed 4-bit window exponentiation in Montgomery form.  Everything
-     mutable lives in the per-domain scratch pack; the only allocation
-     is the escaping result. *)
+  (* s.acc := bm^e for the Montgomery-form base in [s.bm], by a fixed
+     4-bit window; the table and accumulator live in the scratch pack.
+     [s.bm] is not an operand of any kernel call's own scratch, so the
+     window table can be built straight from it. *)
+  let window_pow ctx s (e : int array) =
+    Array.blit ctx.one_m 0 s.tbl.(0) 0 ctx.w;
+    for i = 1 to 15 do
+      mont_mul_into ctx s.tbl.(i) s.tbl.(i - 1) s.bm
+    done;
+    let nb = Mag.numbits e in
+    let nwin = (nb + 3) / 4 in
+    let acc = s.acc in
+    Array.blit ctx.one_m 0 acc 0 ctx.w;
+    for wi = nwin - 1 downto 0 do
+      for _ = 1 to 4 do
+        mont_sqr_into ctx acc acc
+      done;
+      let d =
+        (if Mag.testbit e ((4 * wi) + 3) then 8 else 0)
+        lor (if Mag.testbit e ((4 * wi) + 2) then 4 else 0)
+        lor (if Mag.testbit e ((4 * wi) + 1) then 2 else 0)
+        lor if Mag.testbit e (4 * wi) then 1 else 0
+      in
+      if d > 0 then mont_mul_into ctx acc acc s.tbl.(d)
+    done
+
+  (* Canonical-integer exponentiation; the only allocation is the
+     escaping result. *)
   let powmod ctx (b : int array) (e : int array) =
     if Mag.is_zero e then Mag.of_int 1
     else begin
@@ -645,40 +670,26 @@ module Mont = struct
       let b = if Mag.compare b ctx.m >= 0 then Mag.rem b ctx.m else b in
       pad_into ctx s.bm b;
       mont_mul_into ctx s.bm s.bm ctx.r2;
-      (* s.bm now holds the base in Montgomery form; it is not an
-         operand of any further kernel call's scratch, so the window
-         table can be built straight from it. *)
-      Array.blit ctx.one_m 0 s.tbl.(0) 0 ctx.w;
-      for i = 1 to 15 do
-        mont_mul_into ctx s.tbl.(i) s.tbl.(i - 1) s.bm
-      done;
-      let nb = Mag.numbits e in
-      let nwin = (nb + 3) / 4 in
-      let acc = s.acc in
-      Array.blit ctx.one_m 0 acc 0 ctx.w;
-      for wi = nwin - 1 downto 0 do
-        for _ = 1 to 4 do
-          mont_sqr_into ctx acc acc
-        done;
-        let d =
-          (if Mag.testbit e ((4 * wi) + 3) then 8 else 0)
-          lor (if Mag.testbit e ((4 * wi) + 2) then 4 else 0)
-          lor (if Mag.testbit e ((4 * wi) + 1) then 2 else 0)
-          lor if Mag.testbit e (4 * wi) then 1 else 0
-        in
-        if d > 0 then mont_mul_into ctx acc acc s.tbl.(d)
-      done;
+      window_pow ctx s e;
       (* Demont into [s.bm] (dead once the window table is built) and
          copy out at exact width: the escaping result is the single
          allocation of the whole call, already normalized, instead of
          a w-limb temporary plus a trimmed [Mag.normalize] copy. *)
-      mont_mul_into ctx s.bm acc ctx.one_p;
+      mont_mul_into ctx s.bm s.acc ctx.one_p;
       let top = ref (ctx.w - 1) in
       while !top >= 0 && s.bm.(!top) = 0 do
         decr top
       done;
       Array.sub s.bm 0 (!top + 1)
     end
+
+  (* Montgomery-domain exponentiation: base and result both in
+     Montgomery form, the result the only allocation. *)
+  let pow_mont ctx (a : int array) (e : int array) =
+    let s = Domain.DLS.get ctx.scratch in
+    Array.blit a 0 s.bm 0 ctx.w;
+    window_pow ctx s e;
+    Array.sub s.acc 0 ctx.w
 end
 
 (* Cache Montgomery contexts per modulus: exponentiations in a protocol
@@ -782,7 +793,9 @@ module Modring = struct
   let modulus c = c.m_big
 
   let enter c v =
-    let r = erem v c.m_big in
+    (* Canonical inputs (fresh samples, decoded residues) skip the
+       Euclidean division. *)
+    let r = if in_range v c.m_big then v else erem v c.m_big in
     Mont.to_mont c.mc r.mg
 
   let leave c (e : elt) = make 1 (Mont.from_mont c.mc e)
@@ -926,13 +939,7 @@ module Modring = struct
 
   let pow c (a : elt) e =
     if e.sg < 0 then invalid_arg "Modring.pow: negative exponent";
-    let nb = numbits e in
-    let acc = ref (one c) in
-    for i = nb - 1 downto 0 do
-      acc := sqr c !acc;
-      if testbit e i then acc := mul c !acc a
-    done;
-    !acc
+    Mont.pow_mont c.mc a e.mg
 
   let inv_into c (dst : elt) (a : elt) = Mont.inv_into c.mc dst a
 

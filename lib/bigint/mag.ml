@@ -536,7 +536,31 @@ let to_bytes (a : int array) =
     b
   end
 
+(* Single pass into one exactly-sized limb array: byte [k] from the
+   end carries bits [8k, 8k+8), which land in limb [8k / 61] and, when
+   they straddle a limb boundary, spill into the next one. *)
 let of_bytes (b : Bytes.t) =
-  let acc = ref zero in
-  Bytes.iter (fun c -> acc := add_int (shift_left !acc 8) (Char.code c)) b;
-  !acc
+  let n = Bytes.length b in
+  let first = ref 0 in
+  while !first < n && Bytes.get b !first = '\000' do
+    incr first
+  done;
+  if !first = n then zero
+  else begin
+    let nsig = n - !first in
+    let nbits = (8 * (nsig - 1)) + bits_of_limb (Char.code (Bytes.get b !first)) in
+    let r = Array.make ((nbits + base_bits - 1) / base_bits) 0 in
+    let li = ref 0 and off = ref 0 in
+    for k = 0 to nsig - 1 do
+      let v = Char.code (Bytes.unsafe_get b (n - 1 - k)) in
+      r.(!li) <- r.(!li) lor ((v lsl !off) land mask);
+      if !off + 8 >= base_bits then begin
+        let hi = v lsr (base_bits - !off) in
+        incr li;
+        if hi <> 0 then r.(!li) <- hi;
+        off := !off + 8 - base_bits
+      end
+      else off := !off + 8
+    done;
+    r
+  end

@@ -18,21 +18,20 @@
     Messages are explicit records so the network simulator can account
     for their size. *)
 
-open Ppgr_bigint
 open Ppgr_rng
 
 type round1 = {
   qx : Zfield.mat; (* s × d *)
-  c' : Bigint.t array; (* d *)
-  g : Bigint.t array; (* d *)
+  c' : Zfield.elt array; (* d *)
+  g : Zfield.elt array; (* d *)
 }
 
-type round2 = { a : Bigint.t; h : Bigint.t }
+type round2 = { a : Zfield.elt; h : Zfield.elt }
 
 type bob_state = {
-  b : Bigint.t; (* r-th column sum of Q (non-zero) *)
-  r2 : Bigint.t;
-  r3 : Bigint.t;
+  b : Zfield.elt; (* r-th column sum of Q (non-zero) *)
+  r2 : Zfield.elt;
+  r3 : Zfield.elt;
 }
 
 (* Field elements carried by each message (for bandwidth accounting). *)
@@ -42,14 +41,14 @@ let round2_elements = 2
 let bob_round1 rng f ~w ~s =
   if s < 2 then invalid_arg "Dot_product.bob_round1: s must be >= 2";
   let d = Array.length w + 1 in
-  let w' = Array.append w [| Bigint.one |] in
+  let w' = Array.append w [| Zfield.one f |] in
   let r = Rng.int_below rng s in
   (* Retry until the r-th column sum of Q is invertible (it almost
      always is; a zero would make Bob's final division impossible). *)
   let rec pick_q () =
     let q = Zfield.mat_random rng f ~rows:s ~cols:s in
     let sums = Zfield.col_sums f q in
-    if Bigint.is_zero sums.(r) then pick_q () else (q, sums)
+    if Zfield.is_zero f sums.(r) then pick_q () else (q, sums)
   in
   let q, sums = pick_q () in
   let x =
@@ -58,7 +57,7 @@ let bob_round1 rng f ~w ~s =
   in
   let qx = Zfield.mat_mul f q x in
   (* c = Σ_{i≠r} (column-sum_i of Q) · x_i *)
-  let c = Array.make d Bigint.zero in
+  let c = Array.make d (Zfield.zero f) in
   for i = 0 to s - 1 do
     if i <> r then begin
       for j = 0 to d - 1 do
@@ -78,9 +77,9 @@ let bob_round1 rng f ~w ~s =
 
 let alice_round2 rng f ~v ~alpha (m : round1) =
   ignore rng;
-  let v' = Array.append v [| Zfield.reduce f alpha |] in
+  let v' = Array.append v [| alpha |] in
   let y = Zfield.mat_vec f m.qx v' in
-  let z = Array.fold_left (Zfield.add f) Bigint.zero y in
+  let z = Array.fold_left (Zfield.add f) (Zfield.zero f) y in
   let a = Zfield.sub f z (Zfield.dot f m.c' v') in
   let h = Zfield.dot f m.g v' in
   { a; h }
@@ -92,4 +91,4 @@ let bob_finish f (st : bob_state) (m : round2) =
 (** Reference plaintext computation for tests: [w·v + alpha] in the
     field. *)
 let plain f ~w ~v ~alpha =
-  Zfield.add f (Zfield.dot f w v) (Zfield.reduce f alpha)
+  Zfield.add f (Zfield.dot f w v) alpha

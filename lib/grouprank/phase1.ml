@@ -63,7 +63,7 @@ let run_one rng cfg ~criterion ~secrets ~j ~info =
      the dot-product protocol appends that 1 itself, so strip it here. *)
   let w_full = Attrs.participant_vector cfg.spec info in
   let w =
-    Array.map (Zfield.reduce f) (Array.sub w_full 0 (Array.length w_full - 1))
+    Array.map (Zfield.of_bigint f) (Array.sub w_full 0 (Array.length w_full - 1))
   in
   let bob_st, m1 = Dot_product.bob_round1 rng f ~w ~s:cfg.s_dim in
   (* The initiator's vector, mapped into the field (signed entries wrap). *)
@@ -72,8 +72,8 @@ let run_one rng cfg ~criterion ~secrets ~j ~info =
       ~rho_j:secrets.rho_js.(j)
   in
   let dim = Array.length v_signed - 1 in
-  let v = Array.map (Zfield.of_signed f) (Array.sub v_signed 0 dim) in
-  let alpha = Zfield.of_signed f v_signed.(dim) in
+  let v = Array.map (Zfield.of_bigint f) (Array.sub v_signed 0 dim) in
+  let alpha = Zfield.of_bigint f v_signed.(dim) in
   let m2 = Dot_product.alice_round2 rng f ~v ~alpha m1 in
   let beta_field = Dot_product.bob_finish f bob_st m2 in
   let beta_signed = Zfield.to_signed f beta_field in

@@ -118,7 +118,9 @@ let merge_top_k rng ~l ~committee ~k
   let r = Array.length candidates in
   if k > r then invalid_arg "Shard.merge_top_k: k exceeds candidate count";
   if committee < 3 then invalid_arg "Shard.merge_top_k: committee must be >= 3";
-  let t0 = if Hist.enabled () then Unix.gettimeofday () else 0. in
+  (* The merge wall is always measured (it feeds [merge_wall_s]); only
+     the histogram record is gated on telemetry. *)
+  let t0 = Unix.gettimeofday () in
   let stat =
     Trace.with_span
       ~attrs:[ ("n", Trace.Int r); ("k", Trace.Int k); ("l", Trace.Int l) ]
@@ -146,7 +148,7 @@ let merge_top_k rng ~l ~committee ~k
       merge_wall_s = 0.;
     }
   in
-  let wall = if Hist.enabled () then Unix.gettimeofday () -. t0 else 0. in
+  let wall = Unix.gettimeofday () -. t0 in
   if Hist.enabled () then Hist.record_us Hist.merge_us (wall *. 1e6);
   { stat with merge_wall_s = wall }
 

@@ -549,52 +549,64 @@ let decode_checkpoint data =
       };
   }
 
-let encode_vec b (v : Bigint.t array) =
+(* Field elements travel as their canonical integers in [[0, P)]; a
+   decoder refuses anything that is not one. *)
+module Zfield = Ppgr_dotprod.Zfield
+module Dot = Ppgr_dotprod.Dot_product
+
+let encode_elt f b e = W.bigint b (Zfield.to_bigint f e)
+
+let decode_elt f r =
+  let v = R.bigint r in
+  if not (Bigint.in_range v (Zfield.modulus f)) then fail "field element out of range";
+  Zfield.of_bigint f v
+
+let encode_vec f b v =
   W.u16 b (Array.length v);
-  Array.iter (W.bigint b) v
+  Array.iter (encode_elt f b) v
 
-let decode_vec r =
+let decode_vec f r =
   let n = R.u16 r in
-  Array.init n (fun _ -> R.bigint r)
+  Array.init n (fun _ -> decode_elt f r)
 
-let encode_dot_round1 (m : Ppgr_dotprod.Dot_product.round1) =
+let encode_dot_round1 f (m : Dot.round1) =
   let b = W.create () in
   W.u8 b tag_dot_round1;
-  W.u16 b (Array.length m.Ppgr_dotprod.Dot_product.qx);
-  Array.iter (encode_vec b) m.Ppgr_dotprod.Dot_product.qx;
-  encode_vec b m.Ppgr_dotprod.Dot_product.c';
-  encode_vec b m.Ppgr_dotprod.Dot_product.g;
+  W.u16 b (Array.length m.Dot.qx);
+  Array.iter (encode_vec f b) m.Dot.qx;
+  encode_vec f b m.Dot.c';
+  encode_vec f b m.Dot.g;
   W.contents b
 
-let decode_dot_round1 data : Ppgr_dotprod.Dot_product.round1 =
+let decode_dot_round1 f data : Dot.round1 =
   let r = R.of_bytes data in
   if R.u8 r <> tag_dot_round1 then fail "bad tag for dot round 1";
   let rows = R.u16 r in
-  let qx = Array.init rows (fun _ -> decode_vec r) in
-  let c' = decode_vec r in
-  let g = decode_vec r in
+  let qx = Array.init rows (fun _ -> decode_vec f r) in
+  let c' = decode_vec f r in
+  let g = decode_vec f r in
   R.expect_end r;
   if Array.length c' <> Array.length g then fail "c'/g dimension mismatch";
   Array.iter
     (fun row ->
       if Array.length row <> Array.length c' then fail "QX row dimension mismatch")
     qx;
-  { Ppgr_dotprod.Dot_product.qx; c'; g }
+  { Dot.qx; c'; g }
 
-let encode_dot_round2 (m : Ppgr_dotprod.Dot_product.round2) =
+let encode_dot_round2 f (m : Dot.round2) =
   let b = W.create () in
   W.u8 b tag_dot_round2;
-  W.bigint b m.Ppgr_dotprod.Dot_product.a;
-  W.bigint b m.Ppgr_dotprod.Dot_product.h;
+  encode_elt f b m.Dot.a;
+  encode_elt f b m.Dot.h;
   W.contents b
 
-let decode_dot_round2 data : Ppgr_dotprod.Dot_product.round2 =
+let decode_dot_round2 f data : Dot.round2 =
   let r = R.of_bytes data in
   if R.u8 r <> tag_dot_round2 then fail "bad tag for dot round 2";
-  let a = R.bigint r in
-  let h = R.bigint r in
+  let a = decode_elt f r in
+  let h = decode_elt f r in
   R.expect_end r;
-  { Ppgr_dotprod.Dot_product.a; h }
+  { Dot.a; h }
 
 (** {1 Phase-3 submission} *)
 

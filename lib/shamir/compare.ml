@@ -42,6 +42,9 @@ let check_field_large_enough e prm =
   if Bigint.numbits (Zfield.modulus (Engine.field e)) <= need then
     invalid_arg "Compare: field too small for l + kappa"
 
+(* 1 - b for a shared bit b. *)
+let one_minus e b = Engine.add_public e (Engine.neg e b) (Zfield.one (Engine.field e))
+
 (* OR of two shared bits: a + b - ab (one multiplication). *)
 let or_batch e pairs =
   let prods = Engine.mul_batch e pairs in
@@ -94,8 +97,7 @@ let bit_lt_public ?(log_prefix = true) e ~(a_bits : int array)
     (* d_i = a_i XOR b_i, linear because a_i is public. *)
     let d =
       Array.init l (fun i ->
-          if a_bits.(i) = 0 then b_bits.(i)
-          else Engine.add_public e (Engine.neg e b_bits.(i)) Bigint.one)
+          if a_bits.(i) = 0 then b_bits.(i) else one_minus e b_bits.(i))
     in
     let suffix = if log_prefix then suffix_or_log e d else suffix_or_ripple e d in
     let prefix = Array.make (l + 1) (Engine.of_public e Bigint.zero) in
@@ -116,16 +118,20 @@ let ge e prm (x : Engine.shared) (y : Engine.shared) : Engine.shared =
   let l = prm.l in
   let lz = l + 1 in
   (* z = 2^l + x - y. *)
-  let z = Engine.add_public e (Engine.sub e x y) (Bigint.nth_bit_weight l) in
+  let f = Engine.field e in
+  let z =
+    Engine.add_public e (Engine.sub e x y) (Zfield.of_bigint f (Bigint.nth_bit_weight l))
+  in
   let r_bits, r = Engine.random_bits e (lz + prm.kappa) in
   let m = Engine.open_ e (Engine.add e z r) in
   (* High parts. *)
   let m_div = Bigint.shift_right m l in
   let r_high =
     (* Σ_{i >= l} 2^(i-l) r_i. *)
+    let two = Zfield.of_int f 2 in
     let acc = ref (Engine.of_public e Bigint.zero) in
     for i = lz + prm.kappa - 1 downto l do
-      acc := Engine.add e (Engine.scale e (Bigint.of_int 2) !acc) r_bits.(i)
+      acc := Engine.add e (Engine.scale e two !acc) r_bits.(i)
     done;
     !acc
   in
@@ -137,7 +143,7 @@ let ge e prm (x : Engine.shared) (y : Engine.shared) : Engine.shared =
   (* bit_l(z) = m_div - r_high - u  (an exact 0/1 integer identity). *)
   Engine.sub e (Engine.sub e (Engine.of_public e m_div) r_high) u
 
-let lt e prm x y = Engine.add_public e (Engine.neg e (ge e prm x y)) Bigint.one
+let lt e prm x y = one_minus e (ge e prm x y)
 let gt e prm x y = lt e prm y x
 let le e prm x y = ge e prm y x
 

@@ -4,14 +4,20 @@
     party [i+1]'s share); the engine executes each sub-protocol for
     every party and keeps the cost ledger the evaluation reads.  Degree
     reduction after multiplication follows Gennaro–Rabin–Rabin, so the
-    engine requires [n >= 2t + 1]. *)
+    engine requires [n >= 2t + 1].
+
+    Shares are Montgomery-resident field elements ({!Zfield.elt}) from
+    sharing to opening.  Integers cross into the engine only through
+    {!of_public} and {!input} and out of it only through {!open_} and
+    {!open_batch}; public constants for {!add_public} and {!scale} are
+    field elements already. *)
 
 open Ppgr_bigint
 open Ppgr_dotprod
 
 type t
 
-type shared = Bigint.t array
+type shared = Zfield.elt array
 
 val create :
   ?threshold:[ `Max_colluders | `Fixed of int ] ->
@@ -54,10 +60,15 @@ val absorb : ?rounds:int -> t -> t -> unit
 (** {1 Linear (communication-free) operations} *)
 
 val of_public : t -> Bigint.t -> shared
+(** Shares of a public integer (reduced into the field). *)
+
 val add : t -> shared -> shared -> shared
 val sub : t -> shared -> shared -> shared
-val add_public : t -> shared -> Bigint.t -> shared
-val scale : t -> Bigint.t -> shared -> shared
+val add_public : t -> shared -> Zfield.elt -> shared
+
+val scale : t -> Zfield.elt -> shared -> shared
+(** One field multiplication per party. *)
+
 val neg : t -> shared -> shared
 
 (** {1 Interactive operations} *)

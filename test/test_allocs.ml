@@ -211,6 +211,28 @@ let window_tests =
         | None -> assert false);
   ]
 
+(* The field layer's in-place operations: Montgomery-resident elements
+   written into a caller-owned destination, with the multiplication
+   meter bumped on the way, allocate nothing — on the 64-bit merge prime
+   (two limbs) and the 192-bit default prime (four limbs). *)
+let zfield_tests =
+  let module Zfield = Ppgr_dotprod.Zfield in
+  List.concat_map
+    (fun (name, f) ->
+      let rng = Ppgr_rng.Rng.create ~seed:("allocs-zfield-" ^ name) in
+      let a = Zfield.random rng f and b = Zfield.random_nonzero rng f in
+      let d = Zfield.alloc f in
+      [
+        check_zero (name ^ " Zfield.mul_into is allocation-free") (fun () -> Zfield.mul_into f d a b);
+        check_zero (name ^ " Zfield.add_into is allocation-free") (fun () -> Zfield.add_into f d a b);
+        check_zero (name ^ " Zfield.sub_into is allocation-free") (fun () -> Zfield.sub_into f d a b);
+        check_zero (name ^ " Zfield.neg_into is allocation-free") (fun () -> Zfield.neg_into f d b);
+      ])
+    [
+      ("64-bit", Ppgr_dotprod.Zfield.create Ppgr_group.Modp_params.test_64);
+      ("192-bit", Ppgr_dotprod.Zfield.default ());
+    ]
+
 let () =
   Alcotest.run "allocs"
     [
@@ -219,4 +241,5 @@ let () =
       ("group-alloc", group_tests);
       ("telemetry-alloc", telemetry_tests);
       ("window-alloc", window_tests);
+      ("zfield-alloc", zfield_tests);
     ]

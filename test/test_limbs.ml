@@ -128,6 +128,40 @@ let diff_props =
 
 let b61 = Bigint.nth_bit_weight 61
 
+(* ---- byte decoding ---- *)
+
+(* The definition [Mag.of_bytes] had before it packed limbs directly: a
+   shift-and-add fold over the bytes. *)
+let of_bytes_fold b =
+  Bytes.fold_left (fun acc c -> Mag.add_int (Mag.shift_left acc 8) (Char.code c)) Mag.zero b
+
+(* Random lengths 0-200 with a run of leading zero bytes (sometimes the
+   whole string), so limb-boundary spills and normalization both show. *)
+let gen_bytes =
+  QCheck2.Gen.(
+    let* len = int_range 0 200 in
+    let* zeros = int_range 0 len in
+    let* body = list_repeat (len - zeros) (int_range 0 255) in
+    return
+      (Bytes.of_seq
+         (List.to_seq (List.init zeros (fun _ -> '\000') @ List.map Char.chr body))))
+
+let strip_leading_zeros b =
+  let n = Bytes.length b in
+  let i = ref 0 in
+  while !i < n && Bytes.get b !i = '\000' do
+    incr i
+  done;
+  Bytes.sub b !i (n - !i)
+
+let bytes_props =
+  [
+    prop ~count:500 "of_bytes matches the shift-and-add fold" gen_bytes (fun b ->
+        Mag.of_bytes b = of_bytes_fold b);
+    prop ~count:500 "to_bytes inverts of_bytes up to leading zeros" gen_bytes (fun b ->
+        Bytes.equal (Mag.to_bytes (Mag.of_bytes b)) (strip_leading_zeros b));
+  ]
+
 let edge_tests =
   [
     Alcotest.test_case "limb-boundary products" `Quick (fun () ->
@@ -274,6 +308,7 @@ let () =
   Alcotest.run "limbs"
     [
       ("differential", diff_props);
+      ("bytes", bytes_props);
       ("edges", edge_tests);
       ("modring-into", modring_tests);
     ]

@@ -179,9 +179,11 @@ let shamir_props =
         let sa = Engine.input e (Bigint.of_int a) in
         let sb = Engine.input e (Bigint.of_int b) in
         let combo =
-          Engine.add e (Engine.scale e (Bigint.of_int k) sa) (Engine.neg e sb)
+          Engine.add e (Engine.scale e (Ppgr_dotprod.Zfield.of_int f k) sa) (Engine.neg e sb)
         in
-        let opened = Ppgr_dotprod.Zfield.to_signed f (Engine.open_ e combo) in
+        let opened =
+          Ppgr_dotprod.Zfield.(to_signed f (of_bigint f (Engine.open_ e combo)))
+        in
         Bigint.to_int_exn opened = (k * a) - b);
     sweep ~count:20 "sort output of shared values is sorted and a permutation"
       (fun seed ->

@@ -9,6 +9,7 @@ open Ppgr_shamir
 let rng = Rng.create ~seed:"test-shamir"
 let f = Zfield.default ()
 let bi = Bigint.of_int
+let el = Zfield.of_int f
 
 let sharing_tests =
   [
@@ -17,10 +18,10 @@ let sharing_tests =
           let s = Zfield.random rng f in
           let shares = Shamir.share rng f ~t:3 ~n:9 s in
           Alcotest.(check bool) "exact" true
-            (Bigint.equal s (Shamir.reconstruct_first f ~t:3 shares))
+            (Zfield.equal f s (Shamir.reconstruct_first f ~t:3 shares))
         done);
     Alcotest.test_case "reconstruct from any t+1 subset" `Quick (fun () ->
-        let s = bi 987654 in
+        let s = el 987654 in
         let shares = Shamir.share rng f ~t:2 ~n:7 s in
         List.iter
           (fun ids ->
@@ -28,18 +29,18 @@ let sharing_tests =
             Alcotest.(check bool)
               (String.concat "," (List.map string_of_int ids))
               true
-              (Bigint.equal s (Shamir.reconstruct f pts)))
+              (Zfield.equal f s (Shamir.reconstruct f pts)))
           [ [ 1; 2; 3 ]; [ 5; 6; 7 ]; [ 1; 4; 7 ]; [ 2; 3; 5 ] ]);
     Alcotest.test_case "t shares are not enough (wrong value)" `Quick (fun () ->
         (* With only t points the interpolation through them and 0 is
            underdetermined; reconstructing from t points gives a value
            unrelated to the secret almost surely. *)
-        let s = bi 123456789 in
+        let s = el 123456789 in
         let mismatches = ref 0 in
         for _ = 1 to 20 do
           let shares = Shamir.share rng f ~t:2 ~n:5 s in
           let guess = Shamir.reconstruct f [| (1, shares.(0)); (2, shares.(1)) |] in
-          if not (Bigint.equal guess s) then incr mismatches
+          if not (Zfield.equal f guess s) then incr mismatches
         done;
         Alcotest.(check bool) "mostly wrong" true (!mismatches >= 19));
     Alcotest.test_case "t shares leak nothing (uniform in pairing)" `Quick
@@ -50,14 +51,15 @@ let sharing_tests =
            share distributions overlap. *)
         let count_low = ref 0 in
         for _ = 1 to 200 do
-          let shares = Shamir.share rng f ~t:1 ~n:3 (bi 0) in
-          if Bigint.compare shares.(0) (Zfield.modulus f) < 0 then incr count_low
+          let shares = Shamir.share rng f ~t:1 ~n:3 (el 0) in
+          if Bigint.compare (Zfield.to_bigint f shares.(0)) (Zfield.modulus f) < 0 then
+            incr count_low
         done;
         Alcotest.(check int) "all valid field elements" 200 !count_low);
     Alcotest.test_case "invalid parameters rejected" `Quick (fun () ->
         Alcotest.check_raises "n < t+1"
           (Invalid_argument "Shamir.share: need n >= t + 1") (fun () ->
-            ignore (Shamir.share rng f ~t:3 ~n:3 (bi 1))));
+            ignore (Shamir.share rng f ~t:3 ~n:3 (el 1))));
   ]
 
 let make_engine ?(n = 7) () =
@@ -73,8 +75,8 @@ let engine_tests =
         let mults_before = (Engine.costs e).Engine.c_mults in
         let s = Engine.add e a b in
         let d = Engine.sub e a b in
-        let k = Engine.scale e (bi 3) a in
-        let p = Engine.add_public e a (bi 1000) in
+        let k = Engine.scale e (el 3) a in
+        let p = Engine.add_public e a (el 1000) in
         Alcotest.(check int) "no mult protocol" mults_before (Engine.costs e).Engine.c_mults;
         Alcotest.(check string) "add" "165" (Bigint.to_string (Engine.open_ e s));
         Alcotest.(check string) "sub" "75" (Bigint.to_string (Engine.open_ e d));
@@ -118,6 +120,19 @@ let engine_tests =
             0 bits
         in
         Alcotest.(check bool) "balanced" true (ones > 60 && ones < 140));
+    Alcotest.test_case "random bits over a p = 1 mod 4 field" `Quick (fun () ->
+        (* 2^64 - 59 is prime and 1 mod 4: the square roots behind the
+           bits go through Tonelli-Shanks instead of the (p+1)/4 power. *)
+        let f1 = Zfield.create (Bigint.sub (Bigint.nth_bit_weight 64) (bi 59)) in
+        let e = Engine.create (Rng.create ~seed:"tonelli-bits") f1 ~n:5 in
+        let ones = ref 0 in
+        Array.iter
+          (fun b ->
+            let v = Engine.open_ e b in
+            Alcotest.(check bool) "0 or 1" true (Bigint.is_zero v || Bigint.equal v Bigint.one);
+            if Bigint.equal v Bigint.one then incr ones)
+          (Engine.random_bit_batch e 60);
+        Alcotest.(check bool) "both values occur" true (!ones > 0 && !ones < 60));
     Alcotest.test_case "random_bits weighted value matches bits" `Quick (fun () ->
         let e = make_engine () in
         let bits, value = Engine.random_bits e 16 in

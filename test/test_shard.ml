@@ -335,6 +335,14 @@ let observability_tests =
         Alcotest.(check int) "one sample per shard" 2 (Hist.count Hist.shard_us);
         Alcotest.(check int) "one merge sample" 1 (Hist.count Hist.merge_us))
     ;
+    Alcotest.test_case "merge wall measured with histograms off" `Quick (fun () ->
+        let module Hist = Ppgr_obs.Hist in
+        Hist.set_enabled false;
+        Hist.reset_all ();
+        let _, r = sharded ~n:8 ~l:6 () in
+        Alcotest.(check bool) "merge_wall_s > 0" true (r.Shard.merge.Shard.merge_wall_s > 0.);
+        Alcotest.(check int) "no merge sample recorded" 0 (Hist.count Hist.merge_us))
+    ;
   ]
 
 let () =

@@ -16,47 +16,64 @@ let field_message_tests =
           let d = 1 + Rng.int_below rng 8 and s = 2 + Rng.int_below rng 5 in
           let w = Array.init d (fun _ -> Zfield.random rng f) in
           let _, m = Dot_product.bob_round1 rng f ~w ~s in
-          let m' = Wire.decode_dot_round1 (Wire.encode_dot_round1 m) in
-          Alcotest.(check bool) "qx" true (m.Dot_product.qx = m'.Dot_product.qx);
-          Alcotest.(check bool) "c'" true (m.Dot_product.c' = m'.Dot_product.c');
-          Alcotest.(check bool) "g" true (m.Dot_product.g = m'.Dot_product.g)
+          let m' = Wire.decode_dot_round1 f (Wire.encode_dot_round1 f m) in
+          let same = Array.for_all2 (Zfield.equal f) in
+          Alcotest.(check bool) "qx" true (Array.for_all2 same m.Dot_product.qx m'.Dot_product.qx);
+          Alcotest.(check bool) "c'" true (same m.Dot_product.c' m'.Dot_product.c');
+          Alcotest.(check bool) "g" true (same m.Dot_product.g m'.Dot_product.g)
         done);
     Alcotest.test_case "dot round 2 round trip" `Quick (fun () ->
         let m = { Dot_product.a = Zfield.random rng f; h = Zfield.random rng f } in
-        let m' = Wire.decode_dot_round2 (Wire.encode_dot_round2 m) in
-        Alcotest.(check bool) "a" true (Bigint.equal m.Dot_product.a m'.Dot_product.a);
-        Alcotest.(check bool) "h" true (Bigint.equal m.Dot_product.h m'.Dot_product.h));
+        let m' = Wire.decode_dot_round2 f (Wire.encode_dot_round2 f m) in
+        Alcotest.(check bool) "a" true (Zfield.equal f m.Dot_product.a m'.Dot_product.a);
+        Alcotest.(check bool) "h" true (Zfield.equal f m.Dot_product.h m'.Dot_product.h));
+    Alcotest.test_case "field element out of range rejected" `Quick (fun () ->
+        (* A round-2 message whose first element is the modulus itself:
+           well-formed bytes, but not a canonical field element. *)
+        let m = { Dot_product.a = Zfield.one f; h = Zfield.one f } in
+        let data = Wire.encode_dot_round2 f m in
+        let p = Bigint.to_bytes_be (Zfield.modulus f) in
+        let forged = Bytes.create (1 + 4 + Bytes.length p) in
+        Bytes.set forged 0 (Bytes.get data 0);
+        Bytes.set_int32_be forged 1 (Int32.of_int (Bytes.length p));
+        Bytes.blit p 0 forged 5 (Bytes.length p);
+        let forged = Bytes.cat forged (Bytes.sub data 6 (Bytes.length data - 6)) in
+        Alcotest.(check bool) "raises" true
+          (try
+             ignore (Wire.decode_dot_round2 f forged);
+             false
+           with Wire.Malformed _ -> true));
     Alcotest.test_case "submission round trip" `Quick (fun () ->
         let m = { Wire.sub_rank = 3; sub_info = [| 10; 255; 0; 70000 |] } in
         let m' = Wire.decode_submission (Wire.encode_submission m) in
         Alcotest.(check int) "rank" m.Wire.sub_rank m'.Wire.sub_rank;
         Alcotest.(check (array int)) "info" m.Wire.sub_info m'.Wire.sub_info);
     Alcotest.test_case "wrong tag rejected" `Quick (fun () ->
-        let m = { Dot_product.a = Bigint.one; h = Bigint.two } in
-        let data = Wire.encode_dot_round2 m in
+        let m = { Dot_product.a = Zfield.of_int f 1; h = Zfield.of_int f 2 } in
+        let data = Wire.encode_dot_round2 f m in
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Wire.decode_dot_round1 data);
+             ignore (Wire.decode_dot_round1 f data);
              false
            with Wire.Malformed _ -> true));
     Alcotest.test_case "truncation rejected" `Quick (fun () ->
         let m = { Dot_product.a = Zfield.random rng f; h = Zfield.random rng f } in
-        let data = Wire.encode_dot_round2 m in
+        let data = Wire.encode_dot_round2 f m in
         for cut = 0 to Bytes.length data - 1 do
           let truncated = Bytes.sub data 0 cut in
           Alcotest.(check bool) (Printf.sprintf "cut at %d" cut) true
             (try
-               ignore (Wire.decode_dot_round2 truncated);
+               ignore (Wire.decode_dot_round2 f truncated);
                false
              with Wire.Malformed _ -> true)
         done);
     Alcotest.test_case "trailing bytes rejected" `Quick (fun () ->
-        let m = { Dot_product.a = Bigint.one; h = Bigint.two } in
-        let data = Wire.encode_dot_round2 m in
+        let m = { Dot_product.a = Zfield.of_int f 1; h = Zfield.of_int f 2 } in
+        let data = Wire.encode_dot_round2 f m in
         let extended = Bytes.cat data (Bytes.of_string "x") in
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Wire.decode_dot_round2 extended);
+             ignore (Wire.decode_dot_round2 f extended);
              false
            with Wire.Malformed _ -> true));
   ]
@@ -251,11 +268,11 @@ let fuzz_tests =
     let ack = { Wire.ack_src = 2; ack_dst = 0; ack_cum = 41; ack_sack = 0b101 } in
     [
       ( "dot-round1 (0x01)",
-        Wire.encode_dot_round1 dot1,
-        fun b -> Wire.encode_dot_round1 (Wire.decode_dot_round1 b) );
+        Wire.encode_dot_round1 f dot1,
+        fun b -> Wire.encode_dot_round1 f (Wire.decode_dot_round1 f b) );
       ( "dot-round2 (0x02)",
-        Wire.encode_dot_round2 dot2,
-        fun b -> Wire.encode_dot_round2 (Wire.decode_dot_round2 b) );
+        Wire.encode_dot_round2 f dot2,
+        fun b -> Wire.encode_dot_round2 f (Wire.decode_dot_round2 f b) );
       ( "pubkey (0x10)",
         W.encode_pubkey y,
         fun b -> W.encode_pubkey (W.decode_pubkey b) );
