@@ -1,5 +1,5 @@
-(* Async bench: pipelined windowed transport vs stop-and-wait, plus the
-   checkpoint/restart bill, written to BENCH_PR10.json.
+(* Async bench: the transport's concurrent link clock vs stop-and-wait,
+   plus the checkpoint/restart bill, written to BENCH_PR10.json.
 
    Each scenario runs the full protocol on DL-512 and ECC-160 under a
    latency-flavoured Faultplan, sweeping the per-link window through
@@ -11,8 +11,8 @@
    - the physical transcript digest is window-invariant: the window
      buys wall-clock overlap, never different bytes;
    - window=1 IS stop-and-wait — same digest, same sim_ticks;
-   - on the delay-heavy plan the pipelined engine must beat
-     stop-and-wait on the link clock (the tentpole's reason to exist);
+   - on the delay-heavy plan the concurrent clock must beat
+     stop-and-wait (links progressing side by side);
    - a run killed mid-flight and resumed from its last checkpoint
      reports byte-identical stats to the uninterrupted golden.
 

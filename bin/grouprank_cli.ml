@@ -92,11 +92,12 @@ let faults_arg =
 
 let window_arg =
   let doc =
-    "Transport window spec for the distributed (runtime) leg, e.g. \
-     $(b,window=8,rto=4,link-0-1=16): sliding-window size per directed \
-     link (1 = stop-and-wait), retransmission timeout in ticks, \
-     per-link overrides.  Implies the runtime leg even without \
-     $(b,--faults) (a clean schedule is used)."
+    "Transport link clock for the distributed (runtime) leg, e.g. \
+     $(b,window=8,rto=4): $(b,window=1) (the default) reports the \
+     serialized stop-and-wait clock, 2 to 32 the per-link concurrent \
+     clock; $(b,rto) is the concurrent clock's retransmission timeout in \
+     ticks.  The transcript is the same under both clocks.  Implies the \
+     runtime leg even without $(b,--faults) (a clean schedule is used)."
   in
   Arg.(value & opt (some string) None & info [ "window" ] ~docv:"SPEC" ~doc)
 

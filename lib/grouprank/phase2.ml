@@ -160,28 +160,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
         set.(c) <- E.partial_decrypt_blind slot_rngs.(c) secret set.(c));
     Rng.shuffle rng set
 
-  (* Cumulative-ack reverse traffic of a windowed transport: one ack
-     frame per full (or partial) window on every directed link that
-     carried data in the round.  Sorted for a deterministic schedule. *)
-  let ack_traffic ~window (messages : Netsim.message list) =
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun (m : Netsim.message) ->
-        let key = (m.Netsim.src, m.Netsim.dst) in
-        Hashtbl.replace tbl key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
-      messages;
-    let acks =
-      Hashtbl.fold
-        (fun (src, dst) k acc ->
-          let n_acks = (k + window - 1) / window in
-          List.init n_acks (fun _ ->
-              { Netsim.src = dst; dst = src; bytes = Wire.ack_overhead })
-          @ acc)
-        tbl []
-    in
-    List.sort compare acks
-
   (* Per-party in/out byte tallies of one round's messages, recorded as
      instant wire spans so the trace carries the paper's per-step
      communication breakdown next to the computation spans. *)
@@ -206,13 +184,7 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
             ("phase2." ^ step ^ ".wire")
       done
 
-  (** [window]: when above 1, every round's message list additionally
-      carries the cumulative-ack reverse traffic a windowed transport
-      of that size would generate (one {!Wire.ack_overhead}-byte frame
-      per window per loaded link) — so the derived {!Netsim} schedules
-      price the control plane.  Absent (or 1) the schedule is unchanged
-      from the stop-and-wait accounting. *)
-  let run ?(naive_omega = false) ?shard ?window rng ~l ~(betas : Bigint.t array)
+  let run ?(naive_omega = false) ?shard rng ~l ~(betas : Bigint.t array)
       : result =
     let n = Array.length betas in
     if n = 0 then invalid_arg "Phase2.run: no participants";
@@ -239,11 +211,6 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     in
     let schedule = ref [] in
     let round ~step ~critical_ops messages =
-      let messages =
-        match window with
-        | Some w when w > 1 -> messages @ ack_traffic ~window:w messages
-        | _ -> messages
-      in
       schedule := { Cost.critical_ops; messages } :: !schedule;
       record_wire ~attrs:shard_attrs ~step ~n messages
     in

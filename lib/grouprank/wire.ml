@@ -266,13 +266,13 @@ let check_crc ~what ~min_len data =
 
 (** {1 Ack frames}
 
-    The windowed transport's cumulative acknowledgements.  [ack_cum] is
-    the receiver's next expected sequence number on the directed link
-    [(ack_src, ack_dst)] — everything below it has been accepted —
-    and [ack_sack] is a 32-bit selective-ack bitmap: bit [j] set means
-    sequence [ack_cum + 1 + j] was received out of order and is
-    buffered (so the sender must not retransmit it).  Acks travel the
-    reverse link under the same CRC-32 envelope discipline as data:
+    The cumulative acknowledgements the transport sends under its
+    concurrent link clock.  [ack_cum] is the receiver's next expected
+    sequence number on the directed link [(ack_src, ack_dst)] —
+    everything below it has been accepted.  [ack_sack] is reserved and
+    always written as 0: with at most one message in flight per link
+    there is never an out-of-order arrival to report.  Acks travel the reverse link under the same CRC-32 envelope
+    discipline as data:
     [tag(1) | src u16 | dst u16 | cum u32 | sack u32 | crc u32]. *)
 
 type ack = { ack_src : int; ack_dst : int; ack_cum : int; ack_sack : int }

@@ -72,6 +72,15 @@ let may_abort (s : Faultplan.spec) =
 module Conformance (G : Group_intf.GROUP) = struct
   module RT = Runtime.Make (G)
 
+  (* Every wire touch of a completed run is accounted for: the accepted
+     copy of each logical message, a CRC-rejected arrival, or a
+     suppressed duplicate/stale copy. *)
+  let check_wire_tiling name (st : RT.stats) =
+    Alcotest.(check int)
+      (name ^ ": phys = messages + crc_rejects + dup_suppressed")
+      st.RT.phys_messages
+      (st.RT.messages + st.RT.crc_rejects + st.RT.dup_suppressed)
+
   type outcome =
     | Completed of RT.stats
     | Aborted of Transport.forensics
@@ -134,6 +143,7 @@ module Conformance (G : Group_intf.GROUP) = struct
           (name ^ ": timeouts all retransmitted")
           (kind "drop" + kind "corrupt" + kind "reorder")
           st.RT.retransmits;
+        check_wire_tiling name st;
         if kind "delay" > 0 || st.RT.retransmits > 0 then
           Alcotest.(check bool)
             (name ^ ": backoff clock advanced")
@@ -209,10 +219,11 @@ module Conformance (G : Group_intf.GROUP) = struct
   let cases = scenario_cases @ determinism_cases @ jobs_cases
 end
 
-(* ---- Windowed transport: the pipelined engine under the same chaos ---- *)
+(* ---- Windowed transport: the concurrent link clock under the same chaos ---- *)
 
 module Windowed (G : Group_intf.GROUP) = struct
   module RT = Runtime.Make (G)
+  module C = Conformance (G)
 
   type outcome =
     | Completed of RT.stats
@@ -276,7 +287,7 @@ module Windowed (G : Group_intf.GROUP) = struct
             | _ -> Alcotest.fail "outcome kind differs at window=1"))
       windowed_scenarios
 
-  (* Pipelined windows: every protocol step posts at most one message
+  (* Windows above 1: every protocol step posts at most one message
      per directed link and the flush order matches the stop-and-wait
      send order, so the physical transcript is window-invariant — the
      window only buys wall-clock overlap.  Check exactly that, plus the
@@ -295,6 +306,7 @@ module Windowed (G : Group_intf.GROUP) = struct
           (name ^ ": timeouts all retransmitted")
           (kind "drop" + kind "corrupt" + kind "reorder")
           st.RT.retransmits;
+        C.check_wire_tiling name st;
         (* Per-link tiling still covers the physical totals exactly. *)
         let msgs, bytes, retrans =
           List.fold_left
@@ -353,7 +365,7 @@ module Windowed (G : Group_intf.GROUP) = struct
       windowed_scenarios
 
   (* Latency is where the window pays: under the delay-heavy plan the
-     pipelined engine must finish strictly earlier on the link clock. *)
+     concurrent link clock must finish strictly earlier. *)
   let pipelining_wins_case =
     Alcotest.test_case "delay-heavy: window=16 strictly faster" `Quick
       (fun () ->
@@ -395,20 +407,17 @@ end
 let winspec_tests =
   [
     Alcotest.test_case "winspec parses and round-trips" `Quick (fun () ->
-        let s = Transport.winspec_of_string "window=8,rto=6,link-1-2=16" in
+        let s = Transport.winspec_of_string "window=8,rto=6" in
         Alcotest.(check string)
           "round trip"
           (Transport.winspec_to_string s)
           (Transport.winspec_to_string
              (Transport.winspec_of_string (Transport.winspec_to_string s))));
-    Alcotest.test_case "per-link override beats the default" `Quick (fun () ->
-        let s = Transport.winspec_of_string "window=4,link-0-2=16" in
-        Alcotest.(check int) "override" 16
-          (Transport.winspec_window s ~src:0 ~dst:2);
-        Alcotest.(check int) "reverse direction unaffected" 4
-          (Transport.winspec_window s ~src:2 ~dst:0);
-        Alcotest.(check int) "other links default" 4
-          (Transport.winspec_window s ~src:1 ~dst:3));
+    Alcotest.test_case "per-link keys are unknown keys" `Quick (fun () ->
+        match Transport.winspec_of_string "link-1-2=16" with
+        | _ -> Alcotest.fail "link-1-2=16 accepted"
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "reason" "Transport.winspec: unknown key link-1-2" msg);
     Alcotest.test_case "bad winspecs rejected" `Quick (fun () ->
         let bad s =
           try

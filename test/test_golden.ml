@@ -139,6 +139,105 @@ let compare_tests =
           (costs_string (Engine.costs e)));
   ]
 
+(* {1 Transport goldens: stop-and-wait and window=4}
+
+   The eight window-stressing scenarios of [test_chaos], plus one run
+   that aborts, on ECC-160 (n = 4 with a tie, l = 5, retry budget 8).
+   The values were recorded before the sliding-window engine was folded
+   into the single delivery loop; both clocks must reproduce them byte
+   for byte.  A completed run pins its digest, ranks, link clock,
+   recovery counters, physical totals and a hash of the per-link
+   tallies; an aborted one its forensics digest, step, link and attempt
+   count.  [dup_suppressed] is pinned once per scenario, to the
+   stop-and-wait value: every suppressed copy crossed the wire under
+   either clock, so the window must count the same ones. *)
+
+module Transport_golden (G : Ppgr_group.Group_intf.GROUP) = struct
+  module RT = Runtime.Make (G)
+
+  let betas = Array.map bi [| 9; 3; 14; 3 |]
+
+  let links_sha (ls : Transport.link list) =
+    let s =
+      String.concat ";"
+        (List.map
+           (fun lk ->
+             Printf.sprintf "%d-%d:%d/%d/%d" lk.Transport.lk_src lk.Transport.lk_dst
+               lk.Transport.lk_msgs lk.Transport.lk_bytes lk.Transport.lk_retrans)
+           ls)
+    in
+    String.sub (Sha256.hex_of_digest (Sha256.digest_string s)) 0 16
+
+  (* The pinned fields of one run, and its [dup_suppressed] (-1 on an
+     abort). *)
+  let summary ?window spec =
+    let faults = Ppgr_mpcnet.Faultplan.spec_of_string spec in
+    let rng = Rng.create ~seed:"chaos-protocol" in
+    match RT.run ?window ~faults ~retry_budget:8 rng ~l:5 ~betas with
+    | st ->
+        ( Printf.sprintf
+            "%s ranks=%s sim=%d backoff=%d acks=%d ack_bytes=%d retrans=%d drops=%d \
+             crc=%d phys=%d/%d links=%s"
+            st.RT.transcript_sha (ints st.RT.ranks) st.RT.sim_ticks st.RT.backoff_ticks
+            st.RT.acks_sent st.RT.ack_bytes st.RT.retransmits st.RT.drops
+            st.RT.crc_rejects st.RT.phys_messages st.RT.phys_bytes (links_sha st.RT.links),
+          st.RT.dup_suppressed )
+    | exception Transport.Party_dropped f ->
+        ( Printf.sprintf "abort %s step=%s link=%d->%d attempts=%d" f.Transport.fr_digest
+            f.Transport.fr_step f.Transport.fr_src f.Transport.fr_dst
+            f.Transport.fr_attempts,
+          -1 )
+
+  let case name spec ~sw ~w4 ~dup =
+    Alcotest.test_case name `Quick (fun () ->
+        let s1, d1 = summary spec in
+        let s4, d4 = summary ~window:(Transport.winspec_of_string "window=4,rto=4") spec in
+        Alcotest.(check string) "stop-and-wait" sw s1;
+        Alcotest.(check string) "window=4" w4 s4;
+        Alcotest.(check int) "dup_suppressed, stop-and-wait" dup d1;
+        Alcotest.(check int) "dup_suppressed, window=4" dup d4)
+end
+
+module G_ecc160 = (val Ppgr_group.Ec_group.ecc_160 () : Ppgr_group.Group_intf.GROUP)
+module Tg = Transport_golden (G_ecc160)
+
+let clean_sha = "e8c33cd0a3eee3393c91e62629a52b70cef607a1a425af95bdcd5f77a02944f7"
+
+let transport_tests =
+  [
+    Tg.case "calm-baseline" "seed=calm" ~dup:0
+      ~sw:(clean_sha ^ " ranks=2,3,1,3 sim=46 backoff=0 acks=0 ack_bytes=0 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6")
+      ~w4:(clean_sha ^ " ranks=2,3,1,3 sim=8 backoff=0 acks=46 ack_bytes=782 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6");
+    Tg.case "drop-moderate" "drop=0.2,seed=chaos-2" ~dup:0
+      ~sw:(clean_sha ^ " ranks=2,3,1,3 sim=64 backoff=18 acks=0 ack_bytes=0 retrans=12 drops=12 crc=0 phys=46/30604 links=86f1360d3cccca11")
+      ~w4:(clean_sha ^ " ranks=2,3,1,3 sim=48 backoff=48 acks=46 ack_bytes=782 retrans=12 drops=12 crc=0 phys=46/30604 links=86f1360d3cccca11");
+    Tg.case "reorder-heavy" "reorder=0.5,seed=chaos-12" ~dup:41
+      ~sw:"66b6c1fafb330c82d2cdf081a5a41536c6c795f8e82c3a0850e440c704e63618 ranks=2,3,1,3 sim=177 backoff=90 acks=0 ack_bytes=0 retrans=41 drops=0 crc=0 phys=87/50355 links=03fe8166f4191029"
+      ~w4:"66b6c1fafb330c82d2cdf081a5a41536c6c795f8e82c3a0850e440c704e63618 ranks=2,3,1,3 sim=98 backoff=164 acks=46 ack_bytes=782 retrans=41 drops=0 crc=0 phys=87/50355 links=03fe8166f4191029";
+    Tg.case "delay-moderate" "delay=0.3,maxdelay=4,seed=chaos-13" ~dup:0
+      ~sw:(clean_sha ^ " ranks=2,3,1,3 sim=86 backoff=40 acks=0 ack_bytes=0 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6")
+      ~w4:(clean_sha ^ " ranks=2,3,1,3 sim=29 backoff=0 acks=46 ack_bytes=782 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6");
+    Tg.case "delay-heavy" "delay=0.8,maxdelay=16,seed=chaos-14" ~dup:0
+      ~sw:(clean_sha ^ " ranks=2,3,1,3 sim=327 backoff=281 acks=0 ack_bytes=0 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6")
+      ~w4:(clean_sha ^ " ranks=2,3,1,3 sim=97 backoff=0 acks=46 ack_bytes=782 retrans=0 drops=0 crc=0 phys=46/30604 links=e2e1ef45ece363e6");
+    Tg.case "drop-delay" "drop=0.3,delay=0.3,maxdelay=4,seed=chaos-19" ~dup:0
+      ~sw:(clean_sha ^ " ranks=2,3,1,3 sim=122 backoff=76 acks=0 ack_bytes=0 retrans=20 drops=20 crc=0 phys=46/30604 links=c177e8871c44ec50")
+      ~w4:(clean_sha ^ " ranks=2,3,1,3 sim=57 backoff=80 acks=46 ack_bytes=782 retrans=20 drops=20 crc=0 phys=46/30604 links=c177e8871c44ec50");
+    Tg.case "loss-trio" "drop=0.05,dup=0.05,reorder=0.05,seed=chaos-16" ~dup:12
+      ~sw:"f257eaffb245675085df1d7e7123dd53e17a36fe818696f60f14de0c31992792 ranks=2,3,1,3 sim=64 backoff=6 acks=0 ack_bytes=0 retrans=6 drops=1 crc=0 phys=58/36435 links=60e343c04f0dcd35"
+      ~w4:"f257eaffb245675085df1d7e7123dd53e17a36fe818696f60f14de0c31992792 ranks=2,3,1,3 sim=30 backoff=24 acks=46 ack_bytes=782 retrans=6 drops=1 crc=0 phys=58/36435 links=60e343c04f0dcd35";
+    Tg.case "all-faults-moderate"
+      "drop=0.1,corrupt=0.1,dup=0.1,reorder=0.1,delay=0.1,maxdelay=8,seed=chaos-18" ~dup:11
+      ~sw:"ef9d102fae5c5bf44f6db2f38864135ad41f0d2126f0693ddeb54610c71ed446 ranks=2,3,1,3 sim=129 backoff=66 acks=0 ack_bytes=0 retrans=20 drops=9 crc=6 phys=63/54266 links=7681adc318d4f027"
+      ~w4:"ef9d102fae5c5bf44f6db2f38864135ad41f0d2126f0693ddeb54610c71ed446 ranks=2,3,1,3 sim=82 backoff=80 acks=46 ack_bytes=782 retrans=20 drops=9 crc=6 phys=63/54266 links=7681adc318d4f027";
+    (let abort =
+       "abort 4cd38b400cc71382cc980948a22a94956fe61309bd5197ef1330df5472af2825 step=ring link=3->0 attempts=9"
+     in
+     Tg.case "perfect-storm (aborts)"
+       "drop=0.25,corrupt=0.25,dup=0.2,reorder=0.2,seed=chaos-21" ~dup:(-1) ~sw:abort
+       ~w4:abort);
+  ]
+
 let () =
   Alcotest.run "golden"
     [
@@ -146,4 +245,5 @@ let () =
       ("phase1", phase1_tests);
       ("ss-framework", ss_framework_tests);
       ("compare", compare_tests);
+      ("transport", transport_tests);
     ]

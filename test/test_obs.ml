@@ -420,17 +420,17 @@ let obsv2_spec = "drop=0.1,corrupt=0.1,dup=0.1,delay=0.2,maxdelay=4,seed=obsv2"
 
 (* One faulty run, telemetry on or off.  [on] means the full stack:
    span capture, histograms, causal ledger. *)
-let run_obsv2 ~telemetry () =
+let run_obsv2 ?window ~telemetry () =
   let rng = Rng.create ~seed:"obsv2-inv" in
   let betas = Array.map Bigint.of_int [| 3; 9; 1; 14 |] in
   let faults = Ppgr_mpcnet.Faultplan.spec_of_string obsv2_spec in
   if telemetry then begin
     Hist.set_enabled true;
     Fun.protect ~finally:(fun () -> Hist.set_enabled false) @@ fun () ->
-    let s, _ = Trace.capture (fun () -> R.run ~faults rng ~l:6 ~betas) in
+    let s, _ = Trace.capture (fun () -> R.run ?window ~faults rng ~l:6 ~betas) in
     s
   end
-  else R.run ~faults rng ~l:6 ~betas
+  else R.run ?window ~faults rng ~l:6 ~betas
 
 let obsv2_suite =
   [
@@ -502,17 +502,25 @@ let obsv2_suite =
         let off = run_obsv2 ~telemetry:false () in
         Alcotest.(check int) "no tracing, no ledger" 0
           (List.length off.R.flows);
-        let on = run_obsv2 ~telemetry:true () in
-        Alcotest.(check int) "one flow per logical message" on.R.messages
-          (List.length on.R.flows);
+        (* Both link clocks record the ledger: stop-and-wait and a
+           window of 4. *)
         List.iter
-          (fun (f : Transport.flow) ->
-            if f.Transport.fl_recv_us < f.Transport.fl_send_us then
-              Alcotest.failf "flow %s seq=%d received before sent"
-                f.Transport.fl_step f.Transport.fl_seq;
-            if f.Transport.fl_step = "" then
-              Alcotest.fail "flow missing its protocol step")
-          on.R.flows);
+          (fun (what, window) ->
+            let on = run_obsv2 ?window ~telemetry:true () in
+            Alcotest.(check int) (what ^ ": one flow per logical message")
+              on.R.messages (List.length on.R.flows);
+            List.iter
+              (fun (f : Transport.flow) ->
+                if f.Transport.fl_recv_us < f.Transport.fl_send_us then
+                  Alcotest.failf "%s: flow %s seq=%d received before sent" what
+                    f.Transport.fl_step f.Transport.fl_seq;
+                if f.Transport.fl_step = "" then
+                  Alcotest.fail "flow missing its protocol step")
+              on.R.flows)
+          [
+            ("stop-and-wait", None);
+            ("window=4", Some (Transport.winspec_of_string "window=4"));
+          ]);
     Alcotest.test_case "summary table carries env_bytes and retransmits"
       `Quick (fun () ->
         (* Satellite of §5i: the per-phase table's physical columns tile

@@ -198,7 +198,7 @@ module Battery (G : Group_intf.GROUP) = struct
         Alcotest.(check int) "one resume consumed" 1 rc.RT.rec_resumes;
         check_stats "faulty resume" gst rc.RT.rec_stats)
 
-  (* Windowed restart: the pipelined engine persists and restores the
+  (* Windowed restart: the concurrent clock persists and restores the
      same way; resumed windowed run = windowed golden (acks, sim_ticks
      and all). *)
   let windowed_restart_case =
