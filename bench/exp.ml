@@ -11,9 +11,11 @@
      with a byte-equality cross-check before any timing;
    - per-op minor-words probes: the live paths must allocate exactly
      their escaping result, nothing else;
+   - an inversion gate: the live DL pow/pow2 must leave the group's
+     [field_invs] probe unchanged;
    - the ring trajectory re-run (same n/k/h/spec as BENCH_PR4-PR6,
      jobs in {1, 2, 4}) with transcript digests asserted byte-identical
-     to the PR4/PR5/PR6 goldens, and the DL-1024 jobs=1 wall gated at
+     to [Ring.golden_digests], and the DL-1024 jobs=1 wall gated at
      >= 1.25x over the BENCH_PR6 reference: a faster group layer must
      change no protocol byte. *)
 
@@ -23,11 +25,6 @@ module MR = Bigint.Modring
 module EC = Ppgr_group.Ec_curve
 
 let json_path = "BENCH_PR7.json"
-
-(* Golden transcript digests pinned by BENCH_PR4.json (unchanged through
-   BENCH_PR6): the ring re-run must reproduce these exactly. *)
-let golden_digests =
-  [ ("DL-1024", "e7d0bd1fb8941e5d34d7482deae0cd07"); ("ECC-160", "802789ff60f56eea673c40d63f36601c") ]
 
 (* BENCH_PR6.json jobs=1 ring walls (reference host); the DL-1024 gate
    below is the PR's acceptance bar. *)
@@ -256,6 +253,18 @@ let dl_micros name p rng =
   then failwith ("exp bench: old/new disagree on pow_table at " ^ name);
   if G.to_bytes (G.pow2 x e y f) <> bytes_of (dl_old_pow2 ring order xr e yr f) then
     failwith ("exp bench: old/new disagree on pow2 at " ^ name);
+  (* The live DL exponentiations are inversion-free (unsigned sliding
+     window): any field inversion on pow/pow2 is a regression. *)
+  let invs = List.assoc "field_invs" G.probes in
+  let i0 = invs () in
+  for _ = 1 to 4 do
+    ignore (G.pow x e);
+    ignore (G.pow2 x e y f)
+  done;
+  if invs () <> i0 then
+    failwith
+      (Printf.sprintf "exp bench: %s pow/pow2 performed %d field inversions (expected 0)"
+         name (invs () - i0));
   let rw = float_of_int result_words in
   [
     {
@@ -370,7 +379,7 @@ let ring_rerun (name, gfam) =
   {
     rr_group = name;
     rr_digest = base.Ring.transcript;
-    rr_golden = List.assoc name golden_digests;
+    rr_golden = List.assoc name Ring.golden_digests;
     rr_points = points;
     rr_identical = identical;
     rr_speedup = List.assoc name pr6_ring_wall /. base.Ring.wall_s;
@@ -482,7 +491,8 @@ let run () =
          (List.assoc "DL-1024" pr6_ring_wall))
 
 (* Cheap CI variant: DL-512 + ECC-160 micros with the correctness
-   cross-checks and the result-only allocation gate (the digest side of
+   cross-checks, the DL inversion gate and the result-only allocation
+   gate (the digest side of
    CI is covered by the test-size ring smoke; the full golden-digest
    run lives in the multicore bench job). *)
 let smoke () =

@@ -11,16 +11,12 @@
      the ns/op trajectory stays comparable file to file;
    - the BENCH_PR4 ring trajectory re-run (same n/k/h/spec, jobs in
      {1, 2, 4}) with the transcript digests asserted byte-identical to
-     the PR4/PR5 goldens: faster limbs must change no protocol byte. *)
+     [Ring.golden_digests]: faster limbs must change no protocol byte. *)
 
 open Ppgr_bigint
 module R = Mag26_ref
 
 let json_path = "BENCH_PR6.json"
-
-(* Golden transcript digests pinned by BENCH_PR4.json (unchanged through
-   BENCH_PR5): the ring re-run must reproduce these exactly. *)
-let golden_digests = [ ("DL-1024", "e7d0bd1fb8941e5d34d7482deae0cd07"); ("ECC-160", "802789ff60f56eea673c40d63f36601c") ]
 
 let powmod_gate = 2.5
 
@@ -109,7 +105,7 @@ let ring_rerun (name, gfam) =
   {
     rr_group = name;
     rr_digest = base.Ring.transcript;
-    rr_golden = List.assoc name golden_digests;
+    rr_golden = List.assoc name Ring.golden_digests;
     rr_points = points;
     rr_identical = identical;
   }

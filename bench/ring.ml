@@ -66,6 +66,19 @@ let transcript_digest (ranks : int array) (sched : Cost.schedule) =
     sched;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The digests [transcript_digest] gives for the [run_point] set-up at
+   every job count, re-checked by the [exp] and [limbs] sections.  The
+   originals (BENCH_PR4.json: DL-1024 e7d0bd1f..., ECC-160 802789ff...)
+   held through BENCH_PR6.  They were re-pinned when the DL family moved
+   to an unsigned sliding window and the compare circuit stopped
+   negating twice: both change the per-party group-op counts that
+   [critical_ops] folds in, while the ranks and every round's message
+   list stayed byte-identical (the digest of the same buffer without
+   [critical_ops] is 1936e431... on DL-1024 and a1c316b9... on ECC-160
+   before and after). *)
+let golden_digests =
+  [ ("DL-1024", "9299e20c1fabae9521534b02b2d29718"); ("ECC-160", "7bf9e44c2aa49bd52a2946f49a62d64d") ]
+
 let phase_row rows name =
   List.find_opt (fun (r : Summary.row) -> r.Summary.phase = name) rows
 
@@ -147,8 +160,8 @@ let print_point group_name p =
 
 (* EC batch normalization, measured directly: serialize one batch of
    points per-element and batched, counting field inversions via the
-   group's probe.  None for groups without the probe (DL residues are
-   affine already). *)
+   group's probe.  DL reports 0 and 0 (residues are affine already);
+   None for a group without the probe. *)
 type batch_micro = {
   bm_points : int;
   bm_per_elem_invs : int;

@@ -525,8 +525,7 @@ module Mont = struct
      adding the modulus before an odd halving or after an underflowing
      subtraction.  ~2·numbits(m) iterations of O(w) limb work — the
      same ballpark as the old Euclidean [invmod] but with zero heap
-     traffic, which is what lets the group layer's signed-digit
-     exponentiation keep its lazy inverse cache allocation-free.
+     traffic.  The buffer helpers also serve {!jacobi}.
 
      The helpers below are closure-free plain loops (see the finish
      comment: this path must not allocate). *)
@@ -751,33 +750,85 @@ let powmod b e m =
   end
   else powmod_generic b e m
 
+(* Jacobi symbol by the binary algorithm on two per-domain limb
+   buffers.  The loop keeps [(u/v)] equal to the answer up to the
+   accumulated sign [t], with [v] odd throughout:
+   - strip a whole run of trailing zeros from [u] with one shift;
+     [(2/v) = -1] exactly when [v = 3, 5 (mod 8)], so the sign flips
+     when the run length is odd and [v] is in that class;
+   - if [u < v], swap them (quadratic reciprocity: flip when both are
+     3 mod 4);
+   - subtract [v] from [u] ([(u/v)] is periodic in [u] mod [v]), which
+     leaves [u] even for the next strip.
+   At [u = 0], [v] is [gcd(a, n)]: the symbol is [t] if that is 1 and 0
+   otherwise.  Only an out-of-range [a] pays a division (one Euclidean
+   reduction up front); the working limb count shrinks as the values
+   do, and nothing is allocated per step. *)
+type jac_scratch = { mutable ju : int array; mutable jv : int array }
+
+let jac_scratch : jac_scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { ju = [||]; jv = [||] })
+
+(* u >>= k for 0 < k, over the low [len] limbs (zero-filled from the top). *)
+let jac_shr (u : int array) len k =
+  let ls = k / Mag.base_bits and bs = k mod Mag.base_bits in
+  for j = 0 to len - 1 - ls do
+    let lo = Array.unsafe_get u (j + ls) lsr bs in
+    let hi =
+      if j + ls + 1 >= len then 0
+      else (Array.unsafe_get u (j + ls + 1) lsl (Mag.base_bits - bs)) land Mag.mask
+    in
+    Array.unsafe_set u j (lo lor hi)
+  done;
+  Array.fill u (len - ls) ls 0
+
+(* Trailing zero bits of a non-zero value held in the low [len] limbs. *)
+let jac_ctz (u : int array) =
+  let i = ref 0 in
+  while u.(!i) = 0 do
+    incr i
+  done;
+  let v = ref u.(!i) and k = ref (!i * Mag.base_bits) in
+  while !v land 1 = 0 do
+    v := !v lsr 1;
+    incr k
+  done;
+  !k
+
 let jacobi a n =
   if n.sg <= 0 || is_even n then invalid_arg "Bigint.jacobi: n must be odd positive";
-  let rec go a n acc =
-    let a = erem a n in
-    if is_zero a then if equal n one then acc else 0
-    else begin
-      (* Pull out factors of two. *)
-      let rec twos a acc =
-        if is_even a then begin
-          let nmod8 = to_int_exn (logand n (of_int 7)) in
-          let acc = if nmod8 = 3 || nmod8 = 5 then -acc else acc in
-          twos (shift_right a 1) acc
-        end
-        else (a, acc)
-      in
-      let a, acc = twos a acc in
-      if equal a one then acc
-      else begin
-        (* Quadratic reciprocity. *)
-        let amod4 = to_int_exn (logand a (of_int 3)) in
-        let nmod4 = to_int_exn (logand n (of_int 3)) in
-        let acc = if amod4 = 3 && nmod4 = 3 then -acc else acc in
-        go n a acc
-      end
-    end
-  in
-  go a n 1
+  let a = if in_range a n then a else erem a n in
+  let w = Array.length n.mg in
+  let s = Domain.DLS.get jac_scratch in
+  if Array.length s.ju < w then begin
+    s.ju <- Array.make w 0;
+    s.jv <- Array.make w 0
+  end;
+  let u = ref s.ju and v = ref s.jv in
+  let la = Array.length a.mg in
+  Array.blit a.mg 0 !u 0 la;
+  Array.fill !u la (w - la) 0;
+  Array.blit n.mg 0 !v 0 w;
+  let len = ref w and t = ref 1 in
+  while not (Mont.buf_is_zero !u !len) do
+    let k = jac_ctz !u in
+    if k > 0 then begin
+      jac_shr !u !len k;
+      let r = !v.(0) land 7 in
+      if k land 1 = 1 && (r = 3 || r = 5) then t := - !t
+    end;
+    if Mont.buf_cmp !u !v !len < 0 then begin
+      let x = !u in
+      u := !v;
+      v := x;
+      if !u.(0) land 3 = 3 && !v.(0) land 3 = 3 then t := - !t
+    end;
+    Mont.buf_sub !u !v !len;
+    while !len > 1 && !u.(!len - 1) = 0 && !v.(!len - 1) = 0 do
+      decr len
+    done
+  done;
+  if Mont.buf_is_one !v !len then !t else 0
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 

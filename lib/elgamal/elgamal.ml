@@ -163,7 +163,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) : S with module G = G = struct
   let encrypt_exp_int_with rng kt m = encrypt_exp_with rng kt (Bigint.of_int m)
   let plaintext_power x cph = decrypt x cph
   let is_zero_plaintext_power e = G.is_identity e
-  let decrypt_exp_is_zero x cph = is_zero_plaintext_power (decrypt x cph)
+  (* g^M = 1 iff c = c'^x: one exponentiation and a compare, where
+     [decrypt] would also invert c'^x and multiply. *)
+  let decrypt_exp_is_zero x { c; c' } =
+    Meter.tick ();
+    G.equal c (G.pow c' x)
+
   let add a b = { c = G.mul a.c b.c; c' = G.mul a.c' b.c' }
   let neg a = { c = G.inv a.c; c' = G.inv a.c' }
   let sub a b = add a (neg b)

@@ -3,7 +3,16 @@
     For a safe prime [p = 2q + 1] the quadratic residues form the unique
     subgroup of prime order [q]; DDH is believed hard there (§IV-B of the
     paper).  Elements are kept in Montgomery form so a group
-    multiplication is a single Montgomery multiplication. *)
+    multiplication is a single Montgomery multiplication.
+
+    Exponentiation uses an unsigned sliding window rather than the EC
+    family's signed wNAF: a negative digit would need the inverse of a
+    table entry, and here an inverse is a binary xgcd costing ~70
+    multiplications at 1024 bits, where a curve point negates for free.
+    Membership on decode is a binary Jacobi symbol on limb buffers.
+    Neither path inverts or allocates per step; the only inversion in
+    the family is an explicit {!inv}, counted by the [field_invs]
+    probe. *)
 
 open Ppgr_bigint
 open Ppgr_rng
@@ -46,36 +55,37 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
   let equal a b = Bigint.Modring.equal ring a b
   let is_identity x = equal x identity
 
+  (* Field inversions (binary xgcd, ~70 Montgomery multiplications at
+     1024 bits), the EC family's [field_invs] probe counted the same way.
+     Only an explicit [inv] pays one: exponentiation never inverts. *)
+  let invs = Ppgr_exec.Meter.create ()
+
   let inv x =
-    (* Via the group structure: x^(q-1); counted through [mul]. *)
     Ppgr_exec.Meter.incr ops;
+    Ppgr_exec.Meter.incr invs;
     Bigint.Modring.inv ring x
 
   let sqr x =
     Ppgr_exec.Meter.incr ops;
     Bigint.Modring.sqr ring x
 
-  (* Per-domain exponentiation scratch (DESIGN.md §5h): the wNAF odd-
-     powers tables, their lazily-filled inverse caches, the accumulator
-     and the recoding digit buffers all live here, so a steady-state
-     [pow]/[pow2]/[pow_table] allocates nothing but its escaping result.
-     Two table slots because [pow2] runs two bases down one shared
-     squaring chain.  The digit buffers take one slot per exponent bit
-     plus slack for the recoding's possible carry digit. *)
+  (* Per-domain exponentiation scratch (DESIGN.md §5h): the sliding-
+     window odd-powers tables, the accumulator and the recoding digit
+     buffers all live here, so a steady-state [pow]/[pow2]/[pow_table]
+     allocates nothing but its escaping result.  Two table slots because
+     [pow2] runs two bases down one shared squaring chain.  The digit
+     buffers take one slot per exponent bit. *)
   type scratch = {
     acc : element;
     x2 : element;
-    odd : element array; (* x^1, x^3, x^5, x^7 *)
-    oddinv : element array;
-    mutable inv_mask : int; (* bit i set = oddinv.(i) is valid *)
+    odd : element array; (* x^1, x^3, ..., x^31 *)
     odd2 : element array;
-    oddinv2 : element array;
-    mutable inv_mask2 : int;
     dg : int array;
     dg2 : int array;
   }
 
-  let digit_slots = Bigint.numbits order + 8
+  let odd_powers = 1 lsl (Group_intf.sliding_window - 1)
+  let digit_slots = Bigint.numbits order
 
   let scratch : scratch Domain.DLS.key =
     Domain.DLS.new_key (fun () ->
@@ -83,49 +93,71 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
         {
           acc = Bigint.Modring.alloc ring;
           x2 = Bigint.Modring.alloc ring;
-          odd = elts 4;
-          oddinv = elts 4;
-          inv_mask = 0;
-          odd2 = elts 4;
-          oddinv2 = elts 4;
-          inv_mask2 = 0;
+          odd = elts odd_powers;
+          odd2 = elts odd_powers;
           dg = Array.make digit_slots 0;
           dg2 = Array.make digit_slots 0;
         })
 
-  (* Build the odd-powers table x^1,x^3,x^5,x^7 into [tbl], using [s.x2]
-     as the x^2 temporary.  Tick parity with the old per-call table:
-     1 squaring + 3 multiplications. *)
-  let fill_odd s (tbl : element array) x =
-    Ppgr_exec.Meter.incr ops;
-    Bigint.Modring.sqr_into ring s.x2 x;
+  (* Build the odd powers x^1, x^3, ..., x^top into [tbl], where [top]
+     is the largest digit the recoding emitted, using [s.x2] as the x^2
+     temporary: one squaring (none when [top] is 1) and one
+     multiplication per further entry, each ticking the meter.  A short
+     exponent pays for the entries it reads, not for all 16. *)
+  let fill_odd s (tbl : element array) x ~top =
     Bigint.Modring.copy_into ring tbl.(0) x;
-    for i = 1 to 3 do
+    if top > 1 then begin
       Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.mul_into ring tbl.(i) tbl.(i - 1) s.x2
-    done
-
-  (* Multiply the table entry for wNAF digit [d] (non-zero) into the
-     accumulator, inverting lazily into the cache slot on first negative
-     use — at most 4 inversions per exponentiation, each ticking the
-     meter once, exactly like the old [inv_odd] option cache. *)
-  let mix_digit s (tbl : element array) (invtbl : element array) ~second d =
-    if d > 0 then begin
-      Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.mul_into ring s.acc s.acc tbl.(d / 2)
-    end
-    else begin
-      let i = -d / 2 in
-      let mask = if second then s.inv_mask2 else s.inv_mask in
-      if mask land (1 lsl i) = 0 then begin
+      Bigint.Modring.sqr_into ring s.x2 x;
+      for i = 1 to top lsr 1 do
         Ppgr_exec.Meter.incr ops;
-        Bigint.Modring.inv_into ring invtbl.(i) tbl.(i);
-        if second then s.inv_mask2 <- mask lor (1 lsl i)
-        else s.inv_mask <- mask lor (1 lsl i)
-      end;
-      Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.mul_into ring s.acc s.acc invtbl.(i)
+        Bigint.Modring.mul_into ring tbl.(i) tbl.(i - 1) s.x2
+      done
     end
+
+  let top_digit (dg : int array) len =
+    let m = ref 1 in
+    for k = 0 to len - 1 do
+      if dg.(k) > !m then m := dg.(k)
+    done;
+    !m
+
+  (* Fold the table entry for odd digit [d] into the accumulator; the
+     first digit of a chain is copied in rather than multiplied onto the
+     identity. *)
+  let mix_digit s (tbl : element array) ~started d =
+    if started then begin
+      Ppgr_exec.Meter.incr ops;
+      Bigint.Modring.mul_into ring s.acc s.acc tbl.(d lsr 1)
+    end
+    else Bigint.Modring.copy_into ring s.acc tbl.(d lsr 1)
+
+  (* The left-to-right pass over [len] sliding-window digits in [s.dg]
+     (and, for [pow2], [s.dg2] against the second table) into [s.acc].
+     Every group multiplication (squarings included) ticks the op
+     counter once, and the squarings go through the cheaper dedicated
+     squaring kernel.  The squaring chain starts at the top digit, so
+     the identity is never squared. *)
+  let ladder s len ~pair =
+    let started = ref false in
+    for k = len - 1 downto 0 do
+      if !started then begin
+        Ppgr_exec.Meter.incr ops;
+        Bigint.Modring.sqr_into ring s.acc s.acc
+      end;
+      let da = s.dg.(k) in
+      if da <> 0 then begin
+        mix_digit s s.odd ~started:!started da;
+        started := true
+      end;
+      if pair then begin
+        let db = s.dg2.(k) in
+        if db <> 0 then begin
+          mix_digit s s.odd2 ~started:!started db;
+          started := true
+        end
+      end
+    done
 
   (* Copy the scratch accumulator out as the (sole) escaping allocation. *)
   let escape s =
@@ -133,28 +165,18 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     Bigint.Modring.copy_into ring r s.acc;
     r
 
-  let pow_nonneg x e =
-    (* wNAF-4 with precomputed odd powers; every group multiplication
-       (squarings included) ticks the op counter once — the squarings go
-       through the cheaper dedicated squaring kernel. *)
-    let s = Domain.DLS.get scratch in
-    fill_odd s s.odd x;
-    s.inv_mask <- 0;
-    let len = Group_intf.wnaf4_into e s.dg in
-    Bigint.Modring.one_into ring s.acc;
-    for k = len - 1 downto 0 do
-      Ppgr_exec.Meter.incr ops;
-      Bigint.Modring.sqr_into ring s.acc s.acc;
-      let d = s.dg.(k) in
-      if d <> 0 then mix_digit s s.odd s.oddinv ~second:false d
-    done;
-    escape s
-
   let pow x e =
     (* Canonical-exponent fast path: protocol exponents are already in
        [0, order), so the Euclidean division is usually skipped. *)
     let e = if Bigint.in_range e order then e else Bigint.erem e order in
-    if Bigint.is_zero e then identity else pow_nonneg x e
+    if Bigint.is_zero e then identity
+    else begin
+      let s = Domain.DLS.get scratch in
+      let len = Group_intf.sliding_into e s.dg in
+      fill_odd s s.odd x ~top:(top_digit s.dg len);
+      ladder s len ~pair:false;
+      escape s
+    end
 
   (* Fixed-base window table: tbl.(i).(d-1) = x^(d * 2^(w*i)) for
      d in 1..2^w-1.  An exponentiation then needs no squarings, only one
@@ -231,8 +253,8 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
       if !started then escape s else identity
     end
 
-  (* Shamir's trick: one shared squaring chain over the aligned wNAF-4
-     recodings of both exponents, both odd-powers tables in scratch. *)
+  (* Shamir's trick: one shared squaring chain over both exponents'
+     sliding-window recodings, both odd-powers tables in scratch. *)
   let pow2 a e b f =
     let e = if Bigint.in_range e order then e else Bigint.erem e order
     and f = if Bigint.in_range f order then f else Bigint.erem f order in
@@ -240,20 +262,10 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     else if Bigint.is_zero f then pow a e
     else begin
       let s = Domain.DLS.get scratch in
-      fill_odd s s.odd a;
-      s.inv_mask <- 0;
-      fill_odd s s.odd2 b;
-      s.inv_mask2 <- 0;
-      let len = Group_intf.wnaf4_pair_into e f s.dg s.dg2 in
-      Bigint.Modring.one_into ring s.acc;
-      for k = len - 1 downto 0 do
-        Ppgr_exec.Meter.incr ops;
-        Bigint.Modring.sqr_into ring s.acc s.acc;
-        let da = s.dg.(k) in
-        if da <> 0 then mix_digit s s.odd s.oddinv ~second:false da;
-        let db = s.dg2.(k) in
-        if db <> 0 then mix_digit s s.odd2 s.oddinv2 ~second:true db
-      done;
+      let len = Group_intf.pair_into Group_intf.sliding_into e f s.dg s.dg2 in
+      fill_odd s s.odd a ~top:(top_digit s.dg len);
+      fill_odd s s.odd2 b ~top:(top_digit s.dg2 len);
+      ladder s len ~pair:true;
       escape s
     end
 
@@ -288,7 +300,7 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
   (* Residues are affine already: batching buys nothing here, the hook
      exists for the EC family's shared-inversion normalization. *)
   let to_bytes_batch a = Array.map to_bytes a
-  let probes = []
+  let probes = [ ("field_invs", fun () -> Ppgr_exec.Meter.read invs) ]
 
   let of_bytes b =
     if Bytes.length b <> element_bytes then None
@@ -305,10 +317,12 @@ module Make (P : PARAMS) : Group_intf.GROUP = struct
     Bigint.succ (Rng.bigint_below rng (Bigint.pred order))
 end
 
-(* [pow] in this family starts from the identity and multiplies [wnaf]
-   digits in; [inv] inside [pow_nonneg] is counted but occurs at most 4
-   times per exponentiation (table setup), matching the paper's O(lambda)
-   multiplications per exponentiation. *)
+(* [pow] in this family walks an unsigned width-5 sliding window: up
+   to 16 odd powers of the base (as many as the exponent's digits
+   read), one squaring per exponent bit below the top
+   digit and one multiplication per non-zero digit — the paper's
+   O(lambda) multiplications per exponentiation, with no inversion
+   anywhere on the path (the [field_invs] probe pins that). *)
 
 let of_safe_prime ~name ~security_bits p : Group_intf.group =
   (module Make (struct

@@ -510,7 +510,7 @@ let scalar_mul2 cv p e q f =
     let s = Domain.DLS.get cv.pscratch in
     fill_odd_points cv s s.podd p;
     fill_odd_points cv s s.podd2 q;
-    let len = Group_intf.wnaf4_pair_into e f s.pdg s.pdg2 in
+    let len = Group_intf.pair_into Group_intf.wnaf4_into e f s.pdg s.pdg2 in
     set_infinity_into cv s.pacc;
     for k = len - 1 downto 0 do
       double_into cv s.pacc s.pacc;

@@ -53,9 +53,12 @@ module type GROUP = sig
       (reduced modulo {!order}). *)
 
   val pow2 : element -> Bigint.t -> element -> Bigint.t -> element
-  (** [pow2 a e b f = mul (pow a e) (pow b f)] via Shamir's trick
-      (interleaved wNAF with a shared squaring chain): ~1.3x the cost of
-      one exponentiation instead of 2x. *)
+  (** [pow2 a e b f = mul (pow a e) (pow b f)] via Shamir's trick: both
+      exponents' window recodings interleaved over one shared squaring
+      chain, ~1.3x the cost of one exponentiation instead of 2x.  The EC
+      family recodes in signed wNAF (negating a point is free); the DL
+      family in an unsigned sliding window, so no digit needs an
+      inverse. *)
 
   val equal : element -> element -> bool
   val is_identity : element -> bool
@@ -99,15 +102,17 @@ module type GROUP = sig
   val probes : (string * (unit -> int)) list
   (** Family-specific cost counters beyond group multiplications, as
       [(name, read)] pairs for the observability probe registry — e.g.
-      the EC family's field-inversion count (where batch normalization
-      shows up).  Empty when the family has nothing extra to report. *)
+      [field_invs], the field-inversion count both families report (on
+      EC it shows batch normalization, on DL it stays at the explicit
+      {!inv} calls).  Empty when the family has nothing extra to
+      report. *)
 end
 
 type group = (module GROUP)
 
 (** Width-4 signed sliding-window (wNAF) recoding of a non-negative
     exponent: digits in {0, ±1, ±3, ±5, ±7}, most significant first.
-    Shared by both group families' [pow]. *)
+    The EC family's [pow] recoding (see {!sliding_into} for DL). *)
 let wnaf4 (e : Bigint.t) : int list =
   if Bigint.sign e < 0 then invalid_arg "wnaf4: negative exponent";
   let digits = ref [] in
@@ -203,13 +208,52 @@ let wnaf4_pair e f =
   let pad k l = if k <= 0 then l else List.init k (fun _ -> 0) @ l in
   List.combine (pad (lb - la) da) (pad (la - lb) db)
 
-(** Allocation-free {!wnaf4_pair}: recodes both exponents into the two
-    caller buffers (least significant first, as {!wnaf4_into}), zero-
-    fills the shorter one up to the longer, and returns the shared
-    length.  Zero-filling high slots is exactly the left-padding of the
-    list version read in reverse. *)
-let wnaf4_pair_into e f (da : int array) (db : int array) : int =
-  let la = wnaf4_into e da and lb = wnaf4_into f db in
+(** Width of the DL family's unsigned sliding window: digits are odd and
+    at most [2^5 - 1 = 31], served from a table of 16 odd powers. *)
+let sliding_window = 5
+
+(** Allocation-free unsigned sliding-window recoding of a non-negative
+    exponent into [dst], LEAST significant first, so that
+    [e = Σ dst.(i) · 2^i]; returns the digit count [numbits e] ([dst]
+    must hold that many entries).  Scanning upward, a set bit opens a
+    window: the next {!sliding_window} bits form an odd digit at the
+    window's low position and the window's other slots are zero.  No
+    digit is negative, so an exponentiation over this recoding never
+    needs an inverse — the DL family's choice, where inversion is a
+    binary xgcd; the EC family keeps {!wnaf4_into}, where negation is
+    free. *)
+let sliding_into (e : Bigint.t) (dst : int array) : int =
+  if Bigint.sign e < 0 then invalid_arg "sliding_into: negative exponent";
+  let nb = Bigint.numbits e in
+  let i = ref 0 in
+  while !i < nb do
+    if Bigint.testbit e !i then begin
+      let d = ref 0 in
+      for k = sliding_window - 1 downto 0 do
+        d := (!d lsl 1) lor if Bigint.testbit e (!i + k) then 1 else 0
+      done;
+      dst.(!i) <- !d;
+      for k = !i + 1 to Stdlib.min (nb - 1) (!i + sliding_window - 1) do
+        dst.(k) <- 0
+      done;
+      i := !i + sliding_window
+    end
+    else begin
+      dst.(!i) <- 0;
+      incr i
+    end
+  done;
+  nb
+
+(** Aligned recodings of two non-negative exponents for Shamir's trick:
+    [recode] ({!wnaf4_into} or {!sliding_into}) writes each into its
+    caller buffer, least significant first; the shorter is zero-filled
+    up to the longer and the shared length returned.  With
+    {!wnaf4_into} this is the allocation-free {!wnaf4_pair}:
+    zero-filling high slots is exactly the list version's left-padding
+    read in reverse. *)
+let pair_into recode e f (da : int array) (db : int array) : int =
+  let la = recode e da and lb = recode f db in
   let len = Stdlib.max la lb in
   Array.fill da la (len - la) 0;
   Array.fill db lb (len - lb) 0;

@@ -12,7 +12,7 @@
       instrumented protocol on the cheap test group at n = 3, 4, 5 and
       recovers the three coefficients by Lagrange interpolation — no
       asymptotic hand-waving, the protocol itself supplies the counts.
-      The fit extrapolates exactly (up to wNAF digit-count noise, <2%);
+      The fit extrapolates exactly (up to window digit-count noise, <2%);
       the test suite validates predictions against direct runs at larger
       n.
     - {b group transfer}: operation counts split into full

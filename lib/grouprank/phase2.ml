@@ -114,7 +114,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
     in
     Array.init l (fun b ->
         (* omega^b = (l-b)(1-gamma^b) + S_b;  tau^b = omega^b + own bit. *)
-        let one_minus = E.add_clear (E.neg gamma.(b)) Bigint.one in
+        (* For an own bit of 1, gamma^b = 1 - e^b, so 1 - gamma^b is
+           the announced ciphertext itself. *)
+        let one_minus =
+          if own_bits.(b) = 0 then E.add_clear (E.neg gamma.(b)) Bigint.one
+          else enc_bits.(b)
+        in
         let omega = E.add (E.scale_int one_minus (l - b)) suffixes.(b) in
         if own_bits.(b) = 0 then omega else E.add_clear omega Bigint.one)
 

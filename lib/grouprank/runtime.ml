@@ -168,7 +168,12 @@ module Make (G : Ppgr_group.Group_intf.GROUP) = struct
       s.(b) <- E.add s.(b + 1) gamma.(b + 1)
     done;
     Array.init l (fun b ->
-        let one_minus = E.add_clear (E.neg gamma.(b)) Bigint.one in
+        (* For an own bit of 1, gamma^b = 1 - e^b, so 1 - gamma^b is
+           the announced ciphertext itself. *)
+        let one_minus =
+          if p.beta_bits.(b) = 0 then E.add_clear (E.neg gamma.(b)) Bigint.one
+          else enc_bits.(b)
+        in
         let omega = E.add (E.scale_int one_minus (l - b)) s.(b) in
         if p.beta_bits.(b) = 0 then omega else E.add_clear omega Bigint.one)
 

@@ -114,6 +114,29 @@ let group_tests =
         ignore (E.scalar_mul_table cv ptbl se));
     check_exact "ECC-160 scalar_mul2 allocates result only" ec_words (fun () ->
         ignore (E.scalar_mul2 cv pt se qt sf));
+    (let module EG = Ppgr_elgamal.Elgamal.Make (G) in
+     let sk, pk = EG.keygen rng in
+     let ct = EG.encrypt_exp_int rng pk 1 in
+     check_exact "DL-1024 decrypt_exp_is_zero allocates the pow result only" dl_words
+       (fun () -> ignore (EG.decrypt_exp_is_zero sk ct)));
+    Alcotest.test_case "DL-1024 of_bytes allocation is exact and value-independent" `Quick
+      (fun () ->
+        (* Decoded magnitude (17 limbs + header) + its Bigint record (3)
+           + the Montgomery form (18) + [Some] (2); the Jacobi check runs
+           on per-domain scratch, so no element's value changes the
+           count. *)
+        let words b =
+          (Allocs.measure ~warmup:8 ~iters:50 (fun () -> ignore (G.of_bytes b)))
+            .Allocs.words_per_iter
+        in
+        for _ = 1 to 8 do
+          let b = G.to_bytes (G.pow_gen (G.random_scalar rng)) in
+          Alcotest.(check (float 0.01)) "accepted element" 41.0 (words b)
+        done;
+        (* A non-residue is rejected after the magnitude and its record. *)
+        let v = Bigint.of_bytes_be (G.to_bytes gx) in
+        let neg = Bigint.to_bytes_be_padded G.element_bytes (Bigint.sub p1024 v) in
+        Alcotest.(check (float 0.01)) "rejected non-residue" 21.0 (words neg));
     Alcotest.test_case "DL pow allocation is independent of exponent size" `Quick
       (fun () ->
         let e_small = Bigint.of_int 3 in

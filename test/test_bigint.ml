@@ -282,6 +282,69 @@ let division_stress_tests =
         done);
   ]
 
+(* The binary limb-buffer Jacobi against the recursive Euclidean oracle
+   it replaced (test/jacobi_ref.ml).  Moduli: 1, small odd, odd values
+   of 64-1100 bits, odd composites and odd squares; tops: 0, negative,
+   at or above the modulus, multiples of it, long runs of trailing
+   zeros, and plain random values. *)
+let jacobi_tests =
+  let open QCheck2.Gen in
+  let big_bytes lo hi =
+    map
+      (fun s -> Bigint.of_bytes_be (Bytes.of_string s))
+      (string_size ~gen:char (int_range lo hi))
+  in
+  let odd v = Bigint.add (Bigint.add v v) Bigint.one in
+  let modulus =
+    oneof
+      [
+        pure Bigint.one;
+        map (fun k -> bi ((2 * k) + 1)) (int_range 0 5000);
+        map odd (big_bytes 8 137);
+        map2 (fun u v -> Bigint.mul (odd u) (odd v)) (big_bytes 1 40) (big_bytes 1 40);
+        map (fun u -> let o = odd u in Bigint.mul o o) (big_bytes 1 60);
+      ]
+  in
+  let top n =
+    oneof
+      [
+        pure Bigint.zero;
+        big_bytes 0 140;
+        map Bigint.neg (big_bytes 1 140);
+        map (fun r -> Bigint.add n r) (big_bytes 0 140);
+        map (fun k -> Bigint.mul n (bi k)) (int_range 1 9);
+        map2 (fun r k -> Bigint.shift_left (odd r) k) (big_bytes 0 20) (int_range 1 400);
+        map (fun r -> Bigint.erem r n) (big_bytes 0 140);
+      ]
+  in
+  let case = modulus >>= fun n -> map (fun a -> (a, n)) (top n) in
+  let print (a, n) = Printf.sprintf "a=%s n=%s" (Bigint.to_string a) (Bigint.to_string n) in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:2000 ~name:"limb jacobi = recursive oracle" ~print case
+         (fun (a, n) -> Bigint.jacobi a n = Jacobi_ref.jacobi a n));
+    Alcotest.test_case "jacobi on the DL moduli" `Quick (fun () ->
+        (* p = 3 (mod 4) for every safe prime, so -1 is a non-residue and
+           x, p - x always have opposite symbols. *)
+        List.iter
+          (fun p ->
+            List.iter
+              (fun x ->
+                let x = bi x in
+                Alcotest.(check int) "oracle" (Jacobi_ref.jacobi x p) (Bigint.jacobi x p);
+                Alcotest.(check int) "p - x flips" (-Bigint.jacobi x p)
+                  (Bigint.jacobi (Bigint.sub p x) p))
+              [ 1; 2; 3; 4; 5; 7; 11; 12345; max_int ])
+          [ Ppgr_group.Modp_params.p_512; Ppgr_group.Modp_params.p_1024 ]);
+    Alcotest.test_case "jacobi rejects an even or non-positive modulus" `Quick (fun () ->
+        List.iter
+          (fun n ->
+            Alcotest.check_raises (Bigint.to_string n)
+              (Invalid_argument "Bigint.jacobi: n must be odd positive") (fun () ->
+                ignore (Bigint.jacobi (bi 3) n)))
+          [ bi 0; bi 8; bi (-7) ]);
+  ]
+
 (* Alcotest.run can only be called once per binary; re-run the full set
    including the stress suite. *)
 
@@ -292,4 +355,5 @@ let () =
       ("properties", property_tests);
       ("modring", modring_tests);
       ("division-stress", division_stress_tests);
+      ("jacobi", jacobi_tests);
     ]

@@ -105,6 +105,51 @@ let wnaf_tests =
           (Group_intf.wnaf4 (Bigint.of_int e)));
   ]
 
+(* The DL family's unsigned sliding-window recoder, on exponents of up
+   to 1100 bits: the digits (least significant first) must sum back to
+   the exponent, every non-zero digit is odd and at most 31, and the
+   count is the bit length. *)
+let sliding_tests =
+  let open QCheck2.Gen in
+  let exponent =
+    oneof
+      [
+        map Bigint.of_int (int_range 0 max_int);
+        map (fun s -> Bigint.of_bytes_be (Bytes.of_string s))
+          (string_size ~gen:char (int_range 0 138));
+        (* Long runs of ones and zeros: 2^a - 1 shifted left by b. *)
+        map2
+          (fun a b -> Bigint.shift_left (Bigint.pred (Bigint.nth_bit_weight a)) b)
+          (int_range 0 600) (int_range 0 500);
+      ]
+  in
+  let recode e =
+    let dst = Array.make (Bigint.numbits e) 0 in
+    let n = Group_intf.sliding_into e dst in
+    (n, dst)
+  in
+  let prop name f =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:500 ~name ~print:Bigint.to_string exponent f)
+  in
+  [
+    prop "sliding window reconstructs the exponent" (fun e ->
+        let n, dst = recode e in
+        let v = ref Bigint.zero in
+        for i = n - 1 downto 0 do
+          v := Bigint.add_int (Bigint.shift_left !v 1) dst.(i)
+        done;
+        n = Bigint.numbits e && Bigint.equal !v e);
+    prop "sliding window digits are 0 or odd and <= 31" (fun e ->
+        let n, dst = recode e in
+        let ok = ref true in
+        for i = 0 to n - 1 do
+          let d = dst.(i) in
+          if not (d = 0 || (d land 1 = 1 && d <= 31)) then ok := false
+        done;
+        !ok);
+  ]
+
 (* EC-specific structural tests on the toy curve where exhaustive checks
    are affordable. *)
 let ec_structural_tests =
@@ -213,6 +258,55 @@ let dl_structural_tests =
         let nr = find (Bigint.of_int 2) in
         let b = Bigint.to_bytes_be_padded G.element_bytes nr in
         Alcotest.(check bool) "rejected" true (G.of_bytes b = None));
+    Alcotest.test_case "DL-512/DL-1024 of_bytes: same accept set as the oracle" `Quick
+      (fun () ->
+        (* The decoder's accept set: exactly the encodings of [1, p) with
+           Jacobi symbol 1 (the recursive oracle), at exactly
+           [element_bytes]. *)
+        List.iter
+          (fun (g, p) ->
+            let module G = (val (g : Group_intf.group)) in
+            Alcotest.(check int) "p = 3 mod 4" 3
+              (Bigint.to_int_exn (Bigint.logand p (Bigint.of_int 3)));
+            let enc v = Bigint.to_bytes_be_padded G.element_bytes v in
+            let oracle b =
+              Bytes.length b = G.element_bytes
+              &&
+              let v = Bigint.of_bytes_be b in
+              Bigint.sign v > 0 && Bigint.compare v p < 0 && Jacobi_ref.jacobi v p = 1
+            in
+            let check name b =
+              Alcotest.(check bool) name (oracle b) (G.of_bytes b <> None)
+            in
+            for _ = 1 to 20 do
+              let x = G.pow_gen (G.random_scalar rng) in
+              let b = G.to_bytes x in
+              Alcotest.(check bool) "residue round-trips" true
+                (match G.of_bytes b with Some y -> G.equal x y | None -> false);
+              let v = Bigint.of_bytes_be b in
+              let neg = enc (Bigint.sub p v) in
+              Alcotest.(check bool) "p - x rejected" true (G.of_bytes neg = None);
+              check "p - x" neg;
+              check "random bytes" (Rng.bytes rng G.element_bytes)
+            done;
+            List.iter
+              (fun (name, b) ->
+                Alcotest.(check bool) name true (G.of_bytes b = None);
+                check name b)
+              [
+                ("zero", enc Bigint.zero);
+                ("p", enc p);
+                ("p + 1", enc (Bigint.succ p));
+                ("all ones", Bytes.make G.element_bytes '\255');
+                ("short", Bytes.make (G.element_bytes - 1) '\001');
+                ("long", Bytes.cat (Bytes.make 1 '\000') (enc Bigint.one));
+                ("empty", Bytes.empty);
+              ];
+            Alcotest.(check bool) "1 accepted" true (G.of_bytes (enc Bigint.one) <> None))
+          [
+            (Dl_group.dl_512 (), Modp_params.p_512);
+            (Dl_group.dl_1024 (), Modp_params.p_1024);
+          ]);
     Alcotest.test_case "order is (p-1)/2" `Quick (fun () ->
         let module G = (val Dl_group.dl_test_64 ()) in
         Alcotest.(check bool) "order" true
@@ -230,6 +324,7 @@ let () =
       ("ecc-160", group_suite "ECC-160" (Ec_group.ecc_160 ()));
       ("ecc-256", group_suite "ECC-256" (Ec_group.ecc_256 ()));
       ("wnaf", wnaf_tests);
+      ("sliding", sliding_tests);
       ("ec-structure", ec_structural_tests);
       ("dl-structure", dl_structural_tests);
     ]

@@ -11,8 +11,21 @@ open Ppgr_grouprank
 let rng = Rng.create ~seed:"test-pow"
 
 (* Exponent edge cases relative to a group order q: zero, one, q-1, q,
-   above q (reduction), far above q, and negative (Euclidean wrap). *)
+   above q (reduction), far above q, and negative (Euclidean wrap); then
+   run-heavy ones that stress window boundaries: powers of two and their
+   predecessors around the 5-bit window and the 61-bit limb, long runs
+   of ones and of zeros, and repeating digit patterns. *)
 let edge_exponents (order : Bigint.t) =
+  let p2 k = Bigint.nth_bit_weight k in
+  let ones k = Bigint.pred (p2 k) in
+  let nb = Bigint.numbits order in
+  let repeat pat w =
+    let v = ref Bigint.zero in
+    for _ = 1 to (nb - 1) / w do
+      v := Bigint.add_int (Bigint.shift_left !v w) pat
+    done;
+    !v
+  in
   [
     Bigint.zero;
     Bigint.one;
@@ -23,12 +36,45 @@ let edge_exponents (order : Bigint.t) =
     Bigint.neg (Bigint.of_int 5);
     Bigint.neg (Bigint.pred order);
   ]
+  @ List.concat_map (fun k -> [ p2 k; ones k ]) [ 4; 5; 6; 10; 60; 61; 62; nb - 2; nb - 1 ]
+  @ [
+      Bigint.add (Bigint.shift_left (ones (nb / 3)) (nb / 2)) (ones 7);
+      Bigint.succ (Bigint.shift_left (ones (nb / 2)) (nb / 3));
+      Bigint.add (p2 (nb - 2)) Bigint.one;
+      repeat 0b100001 6;
+      repeat 0b10000 5;
+      repeat 0b11111 10;
+      repeat 0b1 2;
+      Bigint.sub order (Bigint.of_int 2);
+      Bigint.add (Bigint.mul_int order 3) (ones 9);
+      Bigint.neg (ones 40);
+    ]
+
+(* Square-and-multiply over [G.mul] alone: an exponentiation that shares
+   no recoding, table or scratch with the group's own [pow]. *)
+let ladder_pow (type e) (module G : Group_intf.GROUP with type element = e) (x : e) e =
+  let e = Bigint.erem e G.order in
+  let acc = ref G.identity in
+  for i = Bigint.numbits e - 1 downto 0 do
+    acc := G.mul !acc !acc;
+    if Bigint.testbit e i then acc := G.mul !acc x
+  done;
+  !acc
 
 let engine_suite name (g : Group_intf.group) =
   let module G = (val g) in
   let module N = Group_intf.Naive (G) in
   let random_elt () = G.pow_gen (G.random_scalar rng) in
   [
+    Alcotest.test_case (name ^ ": pow edge exponents") `Quick (fun () ->
+        let x = random_elt () in
+        List.iter
+          (fun e ->
+            Alcotest.(check bool)
+              (Printf.sprintf "e = %s" (Bigint.to_string e))
+              true
+              (G.equal (G.pow x e) (ladder_pow (module G) x e)))
+          (edge_exponents G.order));
     Alcotest.test_case (name ^ ": pow_table matches naive pow") `Quick (fun () ->
         let x = random_elt () in
         let tbl = G.powtable x in
@@ -115,6 +161,40 @@ let engine_suite name (g : Group_intf.group) =
         Alcotest.(check bool)
           (Printf.sprintf "fixed %d < variable %d" fixed variable)
           true (fixed < variable));
+  ]
+
+(* The DL family never inverts on an exponentiation path: the
+   [field_invs] probe stays still across [pow], [pow2], [pow_table] and
+   the ElGamal zero test, and moves once per explicit [inv]. *)
+let dl_inversion_free name (g : Group_intf.group) =
+  let module G = (val g) in
+  let module E = Ppgr_elgamal.Elgamal.Make (G) in
+  let invs = List.assoc "field_invs" G.probes in
+  let zero_invs what f =
+    Alcotest.test_case (Printf.sprintf "%s: %s performs 0 inversions" name what) `Quick
+      (fun () ->
+        let before = invs () in
+        f ();
+        Alcotest.(check int) "field_invs delta" 0 (invs () - before))
+  in
+  let x = G.pow_gen (G.random_scalar rng) and y = G.pow_gen (G.random_scalar rng) in
+  let tbl = G.powtable x in
+  let exps = List.init 8 (fun _ -> G.random_scalar rng) @ edge_exponents G.order in
+  let sk, pk = E.keygen rng in
+  [
+    zero_invs "pow" (fun () -> List.iter (fun e -> ignore (G.pow x e)) exps);
+    zero_invs "pow2" (fun () ->
+        List.iter (fun e -> ignore (G.pow2 x e y (Bigint.succ e))) exps);
+    zero_invs "pow_table" (fun () -> List.iter (fun e -> ignore (G.pow_table tbl e)) exps);
+    zero_invs "decrypt_exp_is_zero" (fun () ->
+        for m = 0 to 3 do
+          let c = E.encrypt_exp_int rng pk m in
+          Alcotest.(check bool) "zero test" (m = 0) (E.decrypt_exp_is_zero sk c)
+        done);
+    Alcotest.test_case (name ^ ": inv ticks field_invs once") `Quick (fun () ->
+        let before = invs () in
+        ignore (G.inv x);
+        Alcotest.(check int) "field_invs delta" 1 (invs () - before));
   ]
 
 (* QCheck properties on small int exponents, where an independent
@@ -246,6 +326,8 @@ let () =
       ("dl-1024", engine_suite "DL-1024" (Dl_group.dl_1024 ()));
       ("ecc-tiny", engine_suite "ECC-tiny" (Ec_group.ecc_tiny ()));
       ("ecc-160", engine_suite "ECC-160" (Ec_group.ecc_160 ()));
+      ("noinv-dl-test-64", dl_inversion_free "DL-test-64" (Dl_group.dl_test_64 ()));
+      ("noinv-dl-1024", dl_inversion_free "DL-1024" (Dl_group.dl_1024 ()));
       ("props", engine_props);
       ("batch-normalization", powtable_batch_normalization);
       ("phase2-regression", phase2_regression);
